@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tol):
         p.add_argument("--out", default="out")
         p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("roots", help="characteristic roots at the positive state")
     p.add_argument("--gamma", type=float, required=True)
@@ -400,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="parameter-plane boundary sweep")
     p.add_argument("kind", choices=("tau-sharp", "tau-star", "overshoot"))
     p.add_argument("--gamma", required=True, help="START:STOP:STEP")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
     common(p, 0.05)
     p.set_defaults(fn=cmd_region)
 

@@ -108,32 +108,6 @@ class GrowthModel:
     def has_allee(self) -> bool:
         return self.gstar > self.g0 + 1e-14
 
-    def h(self, u):
-        """G(u)/(u-1), continuously extended by G'(1) at u = 1."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "food-limited":
-            out = -1.0 / (1.0 + self.gamma * u)
-        elif self.kind == "quadratic":
-            out = -((self.a + self.b) * u + self.a)
-        else:
-            out = -np.ones_like(u)
-        return out if out.ndim else float(out)
-
-    @property
-    def hstar(self) -> float:
-        """min of H on [0, 1]."""
-        return float(min(self.h(0.0), self.h(1.0)))
-
-    @property
-    def hsup(self) -> float:
-        """max of H on [0, 1]."""
-        return float(max(self.h(0.0), self.h(1.0)))
-
-    def monostable_on_grid(self, u_max: float = 3.0, n: int = 1000) -> bool:
-        us = np.linspace(0.0, u_max, n)
-        us = us[np.abs(us - 1.0) > 1e-9]
-        return bool(np.all(self.g(us) * (1.0 - us) > 0))
-
     def minorant_slope(self, u_max: float, n: int = 2000) -> float:
         """Smallest grid-valid p >= G(0) with G(u) >= G(0) - p*u on [0, u_max].
 

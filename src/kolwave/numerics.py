@@ -187,9 +187,13 @@ _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _check_tol(tol: float) -> None:
+def _check_span(span, tol: float) -> tuple[float, float]:
     if not (1e-13 < tol < 1e-2):
         raise PreconditionError(f"tol must lie in (1e-13, 1e-2), got {tol}")
+    t0, t1 = float(span[0]), float(span[1])
+    if not t1 > t0:
+        raise PreconditionError("span must be increasing")
+    return t0, t1
 
 
 def _eval_field(field_fn, t, y):
@@ -197,6 +201,31 @@ def _eval_field(field_fn, t, y):
     if not np.all(np.isfinite(f)):
         raise FieldEvaluationError(f"field returned non-finite value at t={t}")
     return f
+
+
+_STEP_FLOOR = 16 * np.finfo(float).eps  # relative floor under which a step underflows
+
+
+def _min_step(t: float) -> float:
+    return _STEP_FLOOR * max(1.0, abs(t))
+
+
+def _dp_step(field, t, y, f, h, tol):
+    """One Dormand-Prince trial step from (t, y) with f = field(t, y).
+
+    Returns (y_new, f_new, err, scale): the 5th-order state, the field
+    there, the scaled RMS error norm (accept when <= 1) and the per-component
+    error scale."""
+    k = [f]
+    for i in range(1, 6):
+        yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+        k.append(_eval_field(field, t + _DP_C[i] * h, yi))
+    y_new = y + h * sum(b * k[j] for j, b in enumerate(_DP_B))
+    f_new = _eval_field(field, t + h, y_new)
+    k.append(f_new)
+    err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_E))
+    sc = tol * 1e-3 + tol * np.maximum(np.abs(y), np.abs(y_new))
+    return y_new, f_new, float(np.sqrt(np.mean((err_vec / sc) ** 2))), sc
 
 
 def _refine_event(gauge, traj_eval, lo, hi, glo, ghi):
@@ -215,6 +244,82 @@ def _refine_event(gauge, traj_eval, lo, hi, glo, ghi):
     return 0.5 * (lo + hi)
 
 
+def _scan_events(events, gauges, g_prev, found, seg_eval, t, t_new, y_new):
+    """Record the events of the accepted step [t, t_new] in `found`.
+
+    Returns the earliest terminal event time, with `found` trimmed to it,
+    or None."""
+    first_terminal: float | None = None
+    for idx, (ev, g) in enumerate(zip(events, gauges)):
+        g0 = g_prev[idx]
+        g1 = g_prev[idx] = g(t_new, y_new)
+        if g0 == 0.0 or (g0 < 0) == (g1 < 0):
+            continue
+        direction = "up" if g0 < 0 else "down"
+        if ev.direction != "any" and ev.direction != direction:
+            continue
+        te = _refine_event(g, seg_eval, t, t_new, g0, g1)
+        found.append(Event(ev.kind, te, direction))
+        if ev.terminal:
+            first_terminal = te if first_terminal is None else min(first_terminal, te)
+    if first_terminal is not None:
+        found[:] = [e for e in found if e.time <= first_terminal + _EVENT_TIME_TOL]
+    return first_terminal
+
+
+def _march(attempt, field, ts, ys, fs, t1, h, events, max_steps,
+           max_step=math.inf, breakpoints=()):
+    """The adaptive stepping loop shared by both integrators.
+
+    Extends the accepted nodes `ts`, `ys`, `fs` (field values) in place up to
+    t1 or a terminal event, and returns the time-sorted events.
+    `attempt(t, y, f, h)` makes one trial step and returns what `_dp_step`
+    does, with err None when the step must be halved.
+    Steps are clipped to max_step, t1 and the next breakpoint; a step that
+    would leave a sliver shorter than the step floor before t1 ends at t1.
+    """
+    checked = lambda tt, yy: _eval_field(field, tt, yy)
+    gauges = [ev.gauge(checked) for ev in events]
+    t, y, f = ts[-1], ys[-1], fs[-1]
+    g_prev = [g(t, y) for g in gauges]
+    found: list[Event] = []
+    steps = 0
+    while t < t1:
+        steps += 1
+        if steps > max_steps:
+            raise DivergenceError("step budget exhausted", time=t, state=y.copy())
+        h = min(h, t1 - t, max_step)
+        for bp in breakpoints:
+            if t < bp - 1e-14 and t + h > bp:
+                h = bp - t
+                break
+        if 0.0 < t1 - (t + h) < _min_step(t + h):
+            h = t1 - t
+        if h < _min_step(t):
+            raise DivergenceError("step size underflow", time=t, state=y.copy())
+
+        y_new, f_new, err, _ = attempt(t, y, f, h)
+        if err is None or err > 1.0:
+            h *= 0.5 if err is None else max(0.2, 0.9 * err ** (-0.2))
+            continue
+
+        t_new = t + h
+        ts.append(t_new)
+        ys.append(y_new.copy())
+        fs.append(f_new.copy())
+        seg_eval = lambda tt: _hermite(tt, t, t_new, y, y_new, f, f_new)
+        te = _scan_events(events, gauges, g_prev, found, seg_eval, t, t_new, y_new)
+        if te is not None:
+            # truncate the step at the earliest terminal event
+            ts[-1] = te
+            ys[-1] = seg_eval(te)
+            fs[-1] = checked(te, ys[-1])
+            break
+        t, y, f = t_new, ys[-1], fs[-1]
+        h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
+    return sorted(found, key=lambda e: e.time)
+
+
 def integrate_ode(
     field,
     state0,
@@ -230,102 +335,27 @@ def integrate_ode(
     are the refined, time-sorted crossings requested by `events`.  A terminal
     event truncates the trajectory at the event time.
     """
-    _check_tol(tol)
-    t0, t1 = float(span[0]), float(span[1])
-    if not t1 > t0:
-        raise PreconditionError("span must be increasing")
-
+    t0, t1 = _check_span(span, tol)
     y = np.atleast_1d(np.asarray(state0, dtype=float)).copy()
     f = _eval_field(field, t0, y)
 
-    rtol = tol
-    atol = tol * 1e-3
-
     # initial step from the scaled size of y and f
-    sc = atol + rtol * np.abs(y)
+    sc = tol * 1e-3 + tol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
     d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6
-    h = min(h, t1 - t0, max_step)
 
-    gauges = [ev.gauge(lambda tt, yy: _eval_field(field, tt, yy)) for ev in events]
-
-    ts = [t0]
-    ys = [y.copy()]
-    fs = [f.copy()]
-    found: list[tuple[float, Event, int]] = []
-    g_prev = [g(t0, y) for g in gauges]
-
-    t = t0
-    stop = False
-    steps = 0
-    k = [np.zeros_like(y) for _ in range(7)]
-    while t < t1 and not stop:
-        steps += 1
-        if steps > max_steps:
-            raise DivergenceError("step budget exhausted", time=t, state=y.copy())
-        h = min(h, t1 - t, max_step)
-        if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
-            raise DivergenceError("step size underflow", time=t, state=y.copy())
-
-        k[0] = f
-        for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = _eval_field(field, t + _DP_C[i] * h, yi)
-        y_new = y + h * sum(b * k[j] for j, b in enumerate(_DP_B))
-        f_new = _eval_field(field, t + h, y_new)
-        k[6] = f_new
-        err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_E))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** (-0.2))
-            continue
-
-        t_new = t + h
-        # event scan on the accepted step
-        traj_eval = lambda tt: _hermite(tt, t, t_new, y, y_new, f, f_new)
-        first_terminal: float | None = None
-        for idx, (ev, g) in enumerate(zip(events, gauges)):
-            g0 = g_prev[idx]
-            g1 = g(t_new, y_new)
-            if g0 == 0.0 or (g0 < 0) == (g1 < 0):
-                g_prev[idx] = g1
-                continue
-            direction = "up" if g0 < 0 else "down"
-            g_prev[idx] = g1
-            if ev.direction != "any" and ev.direction != direction:
-                continue
-            te = _refine_event(g, traj_eval, t, t_new, g0, g1)
-            found.append((te, Event(ev.kind, te, direction), idx))
-            if ev.terminal:
-                first_terminal = te if first_terminal is None else min(first_terminal, te)
-
-        if first_terminal is not None:
-            # truncate the step at the earliest terminal event
-            te = first_terminal
-            y_new = traj_eval(te)
-            f_new = _eval_field(field, te, y_new)
-            t_new = te
-            found = [rec for rec in found if rec[0] <= te + _EVENT_TIME_TOL]
-            stop = True
-
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y.copy())
-        fs.append(f.copy())
-        if not stop:
-            h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
-
-    traj = Trajectory(np.array(ts), np.array(ys), np.array(fs))
-    found.sort(key=lambda rec: rec[0])
-    return traj, [rec[1] for rec in found]
+    attempt = lambda t, y, f, h: _dp_step(field, t, y, f, h, tol)
+    ts, ys, fs = [t0], [y], [f]
+    found = _march(attempt, field, ts, ys, fs, t1, min(h, t1 - t0, max_step),
+                   events, max_steps, max_step)
+    return Trajectory(np.array(ts), np.array(ys), np.array(fs)), found
 
 
 class DdeTrajectory:
-    """Piecewise dense output of a delay integration, including the history
-    segment to the left of the start time."""
+    """Dense output of a delay integration: the history to the left of the
+    first start time, then one Trajectory per run (a continued run adds one
+    segment)."""
 
     def __init__(self, t_start, history, history_deriv, segments):
         self.t_start = t_start
@@ -335,7 +365,7 @@ class DdeTrajectory:
 
     @property
     def t_end(self) -> float:
-        return self.segments[-1].t_end if self.segments else self.t_start
+        return self.segments[-1].t_end
 
     def _locate(self, t: float) -> Trajectory:
         for seg in self.segments:
@@ -352,9 +382,6 @@ class DdeTrajectory:
         if t <= self.t_start:
             return np.atleast_1d(np.asarray(self.history_deriv(t), dtype=float))
         return self._locate(t).derivative(t)
-
-    def sample(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self(t) for t in ts])
 
 
 def integrate_dde(
@@ -374,7 +401,9 @@ def integrate_dde(
     `field` receives `lag = Lag(value, slope)` holding y(t - tau) and its
     derivative read from the stored dense output (or the history for
     t - tau below the start).  Pass `prior` to continue a previous delay
-    integration: its dense output then serves as history.
+    integration from its end: `history` is then ignored and the result is
+    one flat dense output holding prior's history and segments plus the
+    new one, so lookups never recurse through earlier runs.
 
     Steps are aligned to the first few multiples of the lag, where the
     propagated kinks live.  Steps longer than the lag are allowed: the lag
@@ -384,14 +413,12 @@ def integrate_dde(
     """
     if not tau > 0:
         raise PreconditionError(f"lag must be positive, got {tau}")
-    _check_tol(tol)
-    t0, t1 = float(span[0]), float(span[1])
-    if not t1 > t0:
-        raise PreconditionError("span must be increasing")
+    t0, t1 = _check_span(span, tol)
 
     if prior is not None:
-        hist = prior
-        hist_d = prior.derivative
+        if t0 != prior.t_end:
+            raise PreconditionError("a continued delay run must start where prior ends")
+        hist, hist_d = prior, prior.derivative
     else:
         hist = lambda t: np.atleast_1d(np.asarray(history(t), dtype=float))
         if history_deriv is not None:
@@ -401,155 +428,68 @@ def integrate_dde(
             hist_d = lambda t: (hist(t) - hist(t - eps)) / eps
 
     ts = [t0]
-    y0 = hist(t0).astype(float).copy()
-    ys = [y0]
+    ys = [hist(t0).astype(float).copy()]
 
-    def _locate(s: float) -> int:
+    def lag_at(s: float) -> Lag:
+        """y(s) and y'(s) from the history or the nodes accepted so far."""
+        if s <= t0:
+            return Lag(hist(s), hist_d(s))
+        if len(ts) == 1 or s >= ts[-1]:
+            return Lag(ys[-1].copy(), fs[-1].copy())
         # lag queries trail the live end by at most the lag: scan backward
         i = len(ts) - 2
         while i > 0 and ts[i] > s:
             i -= 1
-        return i
-
-    def read(s: float) -> np.ndarray:
-        if s <= t0:
-            return hist(s)
-        if len(ts) == 1 or s >= ts[-1]:
-            return ys[-1].copy()
-        i = _locate(s)
-        return _hermite(s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
-
-    def read_d(s: float) -> np.ndarray:
-        if s <= t0:
-            return hist_d(s)
-        if len(ts) == 1 or s >= ts[-1]:
-            return fs[-1].copy()
-        i = _locate(s)
-        return _hermite_deriv(s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+        seg = (s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+        return Lag(_hermite(*seg), _hermite_deriv(*seg))
 
     def committed_field(t: float, y: np.ndarray) -> np.ndarray:
-        s = t - tau
-        return np.asarray(field(t, y, Lag(read(s), read_d(s))), dtype=float)
+        return np.asarray(field(t, y, lag_at(t - tau)), dtype=float)
 
-    f0 = _eval_field(committed_field, t0, y0)
-    fs = [f0]
+    fs = [_eval_field(committed_field, t0, ys[0])]
 
-    rtol = tol
-    atol = tol * 1e-3
-
-    # kinks propagate from the start of the very first delay run; after a few
-    # lag multiples the solution is smooth enough for free stepping
-    base = prior.t_start if prior is not None else t0
+    # steps align to lag multiples counted from this run's start, or from the
+    # previous run's start when continuing one (not from the first run's: the
+    # step sequence, and so the result, depends on that base); after a few
+    # multiples the solution is smooth enough for free stepping
+    base = prior.segments[-1].t0 if prior is not None else t0
     k0 = max(0, math.ceil((t0 - base) / tau - 1e-9))
     breakpoints = [base + k * tau for k in range(k0, k0 + 8) if base + k * tau > t0 + 1e-14]
 
-    gauges = [ev.gauge(committed_field) for ev in events]
-    g_prev = [g(t0, y0) for g in gauges]
-    found: list[tuple[float, Event, int]] = []
-
-    t, y, f = t0, y0, f0
-    h = min(0.1 * tau, t1 - t0)
-    stop = False
-    steps = 0
-    while t < t1 and not stop:
-        steps += 1
-        if steps > max_steps:
-            raise DivergenceError("step budget exhausted", time=t, state=y.copy())
-        h = min(h, t1 - t)
-        for bp in breakpoints:
-            if t < bp - 1e-14 and t + h > bp:
-                h = bp - t
-                break
-        if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
-            raise DivergenceError("step size underflow", time=t, state=y.copy())
-
+    def attempt(t, y, f, h):
         t_new = t + h
         overlap = (t_new - tau) > t - 1e-14
+        if not overlap:
+            return _dp_step(committed_field, t, y, f, h, tol)
 
-        # provisional end state for the overlap sweeps: Euler predictor
-        y_prov = y + h * f
-        f_prov = f.copy()
-        y_new = y_prov
-        f_new = f_prov
-        err = math.inf
-        converged = not overlap
-        sweeps = 8 if overlap else 1
-        for sweep in range(sweeps):
-            def step_field(tt: float, yy: np.ndarray) -> np.ndarray:
-                s = tt - tau
-                if s <= t + 1e-14:
-                    lag = Lag(read(s), read_d(s))
-                else:
-                    lag = Lag(
-                        _hermite(s, t, t_new, y, y_prov, f, f_prov),
-                        _hermite_deriv(s, t, t_new, y, y_prov, f, f_prov),
-                    )
-                return np.asarray(field(tt, yy, lag), dtype=float)
+        # the lag reaches into the step: sweep on the provisional interpolant,
+        # starting from an Euler predictor
+        y_prov, f_prov = y + h * f, f.copy()
 
-            k = [f]
-            for i in range(1, 6):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k.append(_eval_field(step_field, t + _DP_C[i] * h, yi))
-            y_new = y + h * sum(b * k[j] for j, b in enumerate(_DP_B))
-            f_new = _eval_field(step_field, t_new, y_new)
-            k.append(f_new)
-            err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_E))
-            sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-            if overlap:
-                drift = float(np.max(np.abs(y_new - y_prov) / sc))
-                y_prov, f_prov = y_new, f_new
-                if drift < 0.05:
-                    converged = True
-                    break
+        def step_field(tt: float, yy: np.ndarray) -> np.ndarray:
+            s = tt - tau
+            if s <= t + 1e-14:
+                lag = lag_at(s)
             else:
-                converged = True
+                lag = Lag(_hermite(s, t, t_new, y, y_prov, f, f_prov),
+                          _hermite_deriv(s, t, t_new, y, y_prov, f, f_prov))
+            return np.asarray(field(tt, yy, lag), dtype=float)
 
-        if not converged or err > 1.0:
-            h *= 0.5 if not converged else max(0.2, 0.9 * err ** (-0.2))
-            continue
+        for _ in range(8):
+            y_new, f_new, err, sc = _dp_step(step_field, t, y, f, h, tol)
+            drift = float(np.max(np.abs(y_new - y_prov) / sc))
+            y_prov, f_prov = y_new, f_new
+            if drift < 0.05:
+                return y_new, f_new, err, sc
+        return y_new, f_new, None, sc
 
-        ts.append(t_new)
-        ys.append(y_new.copy())
-        fs.append(f_new.copy())
-
-        # event scan against the committed interpolant
-        i_seg = len(ts) - 2
-        seg_eval = lambda tt: _hermite(tt, ts[i_seg], ts[i_seg + 1], ys[i_seg],
-                                       ys[i_seg + 1], fs[i_seg], fs[i_seg + 1])
-        first_terminal: float | None = None
-        for idx, (ev, g) in enumerate(zip(events, gauges)):
-            g0 = g_prev[idx]
-            g1 = g(t_new, y_new)
-            if g0 == 0.0 or (g0 < 0) == (g1 < 0):
-                g_prev[idx] = g1
-                continue
-            direction = "up" if g0 < 0 else "down"
-            g_prev[idx] = g1
-            if ev.direction != "any" and ev.direction != direction:
-                continue
-            te = _refine_event(g, seg_eval, t, t_new, g0, g1)
-            found.append((te, Event(ev.kind, te, direction), idx))
-            if ev.terminal:
-                first_terminal = te if first_terminal is None else min(first_terminal, te)
-
-        if first_terminal is not None:
-            te = first_terminal
-            y_te = seg_eval(te)
-            ts[-1] = te
-            ys[-1] = y_te.copy()
-            fs[-1] = _eval_field(committed_field, te, y_te)
-            found = [rec for rec in found if rec[0] <= te + _EVENT_TIME_TOL]
-            stop = True
-
-        t, y, f = ts[-1], ys[-1], fs[-1]
-        if not stop:
-            h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
-
+    found = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
+                   events, max_steps, breakpoints=breakpoints)
     traj = Trajectory(np.array(ts), np.array(ys), np.array(fs))
-    composite = DdeTrajectory(t0, hist, hist_d, [traj])
-    found.sort(key=lambda rec: rec[0])
-    return composite, [rec[1] for rec in found]
+    if prior is not None:
+        return DdeTrajectory(prior.t_start, prior.history, prior.history_deriv,
+                             prior.segments + [traj]), found
+    return DdeTrajectory(t0, hist, hist_d, [traj]), found
 
 
 def find_root(f, bracket, tol: float = 1e-12) -> float:

@@ -5,7 +5,6 @@ byte-identical."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -190,9 +189,6 @@ class Profile:
             "h": self.h,
             "flags": list(self.flags),
         }
-
-    def to_json_file(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.sidecar(), sort_keys=True, indent=2) + "\n")
 
 
 @dataclass

@@ -147,6 +147,11 @@ def test_region_tau_star_with_jobs(tmp_path):
     assert all(s < u for s, u in zip(star, upper))
 
 
+def test_jobs_flag_belongs_to_region_only(tmp_path):
+    code = run(tmp_path, "roots", "--gamma", "9", "--tau", "3", "--jobs", "2")
+    assert code == 2
+
+
 def test_outputs_are_byte_reproducible(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

@@ -65,6 +65,16 @@ def test_limit_profile_eventually_monotone_tail(limit_9_3):
     assert not rep.inconclusive
 
 
+def test_limit_profile_chunk_end_after_lag_breakpoint():
+    # tau > 2 makes the chunk 5*tau long; the step clipped to the lag
+    # breakpoint 30*tau lands one ulp short of the chunk end 88.2, and the
+    # 1-ulp remainder used to stop the run with "step size underflow"
+    p = limit_profile(9.0, 2.94)
+    assert p.flags == ()
+    assert p.shape == NON_MONOTONE
+    assert p.sup == pytest.approx(1.628, abs=1e-3)
+
+
 def test_limit_profile_parameter_guards():
     with pytest.raises(PreconditionError):
         limit_profile(-1.0, 3.0)
@@ -255,6 +265,12 @@ def test_finite_speed_continuation_is_monotone_in_eps(limit_9_3):
     dists = [finite_speed_profile(9.0, 3.0, e).sup_distance(limit_9_3)
              for e in (0.02, 0.01, 0.005)]
     assert dists[0] > dists[1] > dists[2]
+
+
+def test_finite_speed_profile_chunk_end_after_lag_breakpoint():
+    # the same one-ulp chunk-end remainder as the limit-profile case above
+    p = finite_speed_profile(10.6763, 2.0546, 0.0043)
+    assert p.flags == ()
 
 
 def test_finite_speed_eps_guard():

@@ -41,9 +41,6 @@ def test_food_limited_constants():
     assert g.g0 == 1.0
     assert g.gstar == 1.0
     assert g.gp1 == pytest.approx(-0.1)
-    assert g.h(0.5) == pytest.approx(-1.0 / 5.5)
-    assert g.hstar == pytest.approx(-1.0)
-    assert g.hsup == pytest.approx(-0.1)
 
 
 def test_every_growth_kind_is_monostable_on_grid():
@@ -55,7 +52,9 @@ def test_every_growth_kind_is_monostable_on_grid():
         GrowthModel.kpp(),
     ):
         assert g.g(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert g.monostable_on_grid()
+        us = np.linspace(0.0, 3.0, 1000)
+        us = us[np.abs(us - 1.0) > 1e-9]
+        assert np.all(g.g(us) * (1.0 - us) > 0)
 
 
 def test_quadratic_allee_constants():
@@ -72,14 +71,6 @@ def test_quadratic_no_allee_when_b_nonpositive():
     g = GrowthModel.quadratic(1.0, -0.3)
     assert g.gstar == pytest.approx(1.0)
     assert not g.has_allee
-
-
-def test_h_matches_ratio_definition_off_one():
-    for g in (GrowthModel.food_limited(3.0), GrowthModel.quadratic(1.0, 0.5)):
-        for u in (0.0, 0.3, 0.7, 0.99, 1.5):
-            assert g.h(u) == pytest.approx(g.g(u) / (u - 1.0), rel=1e-12)
-        assert g.h(1.0) == pytest.approx(g.gp1, rel=1e-12)
-        assert g.hstar < 0 and g.hsup < 0
 
 
 def test_minorant_slope_bounds_growth_from_below():

@@ -12,6 +12,7 @@ from kolwave.errors import (
     QuadratureError,
 )
 from kolwave.numerics import (
+    DdeTrajectory,
     EventSpec,
     Grid,
     cubic_real_roots,
@@ -105,6 +106,15 @@ def test_terminal_event_truncates():
     assert events[-1].time == pytest.approx(math.log(2.0), abs=1e-8)
 
 
+def test_step_leaving_an_ulp_before_the_span_end_ends_there():
+    # one max_step from 0.5 lands one ulp short of 1.0; the 1-ulp remainder
+    # would be below the step floor, so the step is stretched to the end
+    traj, _ = integrate_ode(lambda t, y: np.ones(1), [100.0], (0.5, 1.0),
+                            max_step=0.5 - 2.0 ** -53)
+    assert list(traj.ts) == [0.5, 1.0]
+    assert traj(1.0)[0] == pytest.approx(100.5, rel=1e-14)
+
+
 def test_dde_cosine_fixture():
     # y'(t) = -y(t - pi/2) with history cos keeps the solution cos.
     tau = math.pi / 2
@@ -119,6 +129,28 @@ def test_dde_cosine_fixture():
     ts = np.linspace(0.0, 4 * math.pi, 200)
     err = max(abs(traj(t)[0] - math.cos(t)) for t in ts)
     assert err < 1e-4
+
+
+def test_dde_continued_run_is_one_flat_dense_output():
+    tau = math.pi / 2
+    kwargs = dict(tol=1e-9, history_deriv=lambda t: np.array([-math.sin(t)]))
+    field = lambda t, y, lag: -lag.value
+    history = lambda t: np.array([math.cos(t)])
+    first, _ = integrate_dde(field, tau, history, (0.0, 2 * math.pi), **kwargs)
+    traj, _ = integrate_dde(field, tau, history, (first.t_end, 4 * math.pi),
+                            prior=first, **kwargs)
+    assert len(traj.segments) == 2
+    assert not isinstance(traj.history, DdeTrajectory)
+    ts = np.linspace(0.0, 4 * math.pi, 200)
+    err = max(abs(traj(t)[0] - math.cos(t)) for t in ts)
+    assert err < 1e-4
+
+
+def test_dde_continued_run_must_start_at_prior_end():
+    field = lambda t, y, lag: -lag.value
+    first, _ = integrate_dde(field, 1.0, lambda t: [1.0], (0.0, 2.0))
+    with pytest.raises(PreconditionError):
+        integrate_dde(field, 1.0, lambda t: [1.0], (1.0, 3.0), prior=first)
 
 
 def test_dde_halving_tol_does_not_worsen_cosine_error():
