@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DivergenceError,
     FieldEvaluationError,
+    KolwaveError,
     NoWindowError,
     PreconditionError,
     StiffShootingError,
@@ -453,7 +454,8 @@ def tau_sharp(gamma: float, tol: float = 0.05, het_tol: float = 1e-7) -> float:
 
 def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
                     jobs: int = 1) -> RegionCurve:
-    """Boundary curves over a gamma grid; per-point failures become NaN gaps.
+    """Boundary curves over a gamma grid; a point whose solver raises a
+    KolwaveError becomes a NaN gap, any other exception propagates.
 
     Columns: tau_sharp, tau_star (NaN when not requested or not defined) and
     the node-to-focus edge tau_upper = (1+gamma)/4.
@@ -467,12 +469,12 @@ def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
         if "tau_sharp" in kinds:
             try:
                 sharp = tau_sharp(g, tol)
-            except Exception:
+            except KolwaveError:
                 sharp = math.nan
         if "tau_star" in kinds:
             try:
                 star = tau_star(g, tol)
-            except Exception:
+            except KolwaveError:
                 star = math.nan
         return sharp, star, upper
 

@@ -9,7 +9,9 @@ two-sided exponential Green kernel with rates z1 < 0 < z2 solving
 z^2 - c z - b = 0.  On a uniform grid both exponential convolutions reduce
 to one-pass recurrences that are exact for piecewise-linear integrands; the
 half-infinite tails are closed analytically with the integrand frozen at the
-boundary values.
+boundary values.  Each front builds one Green operator: its cell weights and
+the power tables of both sweeps are computed once, and every sweep runs in
+blocks (one cumsum over the full chunks, a scalar carry across them).
 """
 
 from __future__ import annotations
@@ -285,31 +287,39 @@ def _cell_weights_right(beta: float, h: float) -> tuple[float, float, float]:
     return e, aq, bq
 
 
-def _recurrence(g: np.ndarray, e: float, init: float) -> np.ndarray:
-    """I_0 = init; I_i = e*I_{i-1} + g_i for i >= 1, chunk-vectorized with a
-    bounded exponent range so nothing overflows."""
-    n = len(g)
-    out = np.empty(n)
+def _sweep_tables(e: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Ratio and power tables e**(1..k), e**-(0..k-1) of a sweep over n nodes,
+    with the chunk length k short enough that e**-k cannot overflow."""
+    k = max(16, int(25.0 / max(1e-12, -math.log(e)))) if e < 1.0 else n
+    k = max(1, min(k, n - 1))
+    return e, e ** np.arange(1, k + 1), e ** -np.arange(k)
+
+
+def _sweep(tables: tuple[float, np.ndarray, np.ndarray], g: np.ndarray,
+           init: float) -> np.ndarray:
+    """I_0 = init; I_i = e*I_{i-1} + g[i-1] for i >= 1, in chunks of k: one
+    cumsum over the full chunks, a scalar carry across them, one broadcast
+    multiply, then the remainder chunk."""
+    e, pw, inv = tables
+    k = len(pw)
+    m = len(g) // k
+    out = np.empty(len(g) + 1)
     out[0] = init
-    step = max(16, int(25.0 / max(1e-12, -math.log(e)))) if e < 1.0 else n
+    s = np.cumsum(g[:m * k].reshape(m, k) * inv, axis=1) / e
+    carries = np.empty(m)
     carry = init
-    i = 1
-    while i < n:
-        j = min(n, i + step)
-        block = g[i:j]
-        k = j - i
-        pw = e ** np.arange(1, k + 1)
-        inv = e ** -np.arange(k)
-        out[i:j] = pw * (carry + np.cumsum(block * inv) / e)
-        carry = out[j - 1]
-        i = j
+    for i in range(m):
+        carries[i] = carry
+        carry = pw[-1] * (carry + s[i, -1])
+    out[1:m * k + 1] = (pw * (carries[:, None] + s)).ravel()
+    rest = g[m * k:]
+    out[m * k + 1:] = pw[:len(rest)] * (carry + np.cumsum(rest * inv[:len(rest)]) / e)
     return out
 
 
-def _green_apply(r: np.ndarray, z1: float, z2: float, h: float,
-                 lam: float | None = None) -> np.ndarray:
+class _GreenOperator:
     """(1/(z2-z1)) * [int_-inf^t e^(z1(t-s)) r + int_t^inf e^(z2(t-s)) r] on
-    the grid.
+    a grid of n nodes with step h, applied to the samples r.
 
     The right tail is closed with r frozen at the boundary (exact on the
     plateau); with `lam` given, the left tail is closed as r[0]*e^(lam(s-t0))
@@ -317,35 +327,38 @@ def _green_apply(r: np.ndarray, z1: float, z2: float, h: float,
     the discrete operator is exact on constants AND on e^(lam t).  Both
     marginal modes of the front iteration (the plateau and the translation
     tail) are then preserved to rounding, which keeps the fixed point from
-    drifting off the grid.
+    drifting off the grid.  The weights and sweep tables are built once.
     """
-    e1, a1, b1 = _cell_weights_left(z1, h)
-    e2, a2, b2 = _cell_weights_right(z2, h)
-    if lam is not None:
-        em = math.exp(-lam * h)
-        ell = (a1 * em + b1) / (1.0 - e1 * em)
-        d1 = (1.0 / (lam - z1) - ell) * (1.0 - e1 * em) / (em - 1.0)
-        a1, b1 = a1 + d1, b1 - d1
-        ep = math.exp(lam * h)
-        rho = (a2 + b2 * ep) / (1.0 - e2 * ep)
-        d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
-        a2, b2 = a2 + d2, b2 - d2
-        init_left = r[0] / (lam - z1)
-    else:
-        init_left = r[0] / (-z1)
 
-    g_left = np.empty_like(r)
-    g_left[0] = 0.0
-    g_left[1:] = a1 * r[:-1] + b1 * r[1:]
-    i_left = _recurrence(g_left, e1, init_left)
+    def __init__(self, z1: float, z2: float, h: float, n: int,
+                 lam: float | None = None):
+        e1, a1, b1 = _cell_weights_left(z1, h)
+        e2, a2, b2 = _cell_weights_right(z2, h)
+        if lam is not None:
+            em = math.exp(-lam * h)
+            ell = (a1 * em + b1) / (1.0 - e1 * em)
+            d1 = (1.0 / (lam - z1) - ell) * (1.0 - e1 * em) / (em - 1.0)
+            a1, b1 = a1 + d1, b1 - d1
+            ep = math.exp(lam * h)
+            rho = (a2 + b2 * ep) / (1.0 - e2 * ep)
+            d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
+            a2, b2 = a2 + d2, b2 - d2
+        self.left_rate = -z1 if lam is None else lam - z1
+        self.z1, self.z2 = z1, z2
+        self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
+        self.left, self.right = _sweep_tables(e1, n), _sweep_tables(e2, n)
 
-    w = a2 * r[:-1] + b2 * r[1:]
-    g_rev = np.empty_like(r)
-    g_rev[0] = 0.0
-    g_rev[1:] = w[::-1]
-    i_right = _recurrence(g_rev, e2, r[-1] / z2)[::-1]
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        i_left = _sweep(self.left, self.a1 * r[:-1] + self.b1 * r[1:], r[0] / self.left_rate)
+        w = self.a2 * r[:-1] + self.b2 * r[1:]
+        i_right = _sweep(self.right, w[::-1], r[-1] / self.z2)[::-1]
+        return (i_left + i_right) / (self.z2 - self.z1)
 
-    return (i_left + i_right) / (z2 - z1)
+
+def _green_apply(r: np.ndarray, z1: float, z2: float, h: float,
+                 lam: float | None = None) -> np.ndarray:
+    """One application of the Green operator of r's grid (see _GreenOperator)."""
+    return _GreenOperator(z1, z2, h, len(r), lam)(r)
 
 
 def _convolver(nker: EffectiveKernel, h: float, n: int):
@@ -412,17 +425,19 @@ def iterate_front(config: IterationConfig, params: WaveParams,
         raise KolwaveError("lower solution escaped above the upper solution")
 
     z1, z2 = config.green_rates(c)
+    green = _GreenOperator(z1, z2, h, n, lam)
     conv = _convolver(nker, h, n)
 
     # the discrete Green image of the upper solution's own right-hand side
     # measures the O(h^2) defect of the discretization; the sandwich slack
     # must sit above it, otherwise pure discretization error reads as a breach
     r_upper = config.b * phi_plus + growth.g0 * ramp_cutoff(phi_plus, config.beta)
-    defect = float(np.max(np.abs(_green_apply(r_upper, z1, z2, h, lam) - phi_plus)))
+    defect = float(np.max(np.abs(green(r_upper) - phi_plus)))
     slack = 10.0 * config.tol + 3.0 * defect
+    floor, ceiling = phi_minus - slack, phi_plus + slack
 
     phi = phi_plus.copy() if phi_init is None else np.asarray(phi_init, dtype=float).copy()
-    if np.any(phi < phi_minus - slack) or np.any(phi > phi_plus + slack):
+    if np.any(phi < floor) or np.any(phi > ceiling):
         raise PreconditionError("initial iterate must lie inside the sandwich")
 
     history: list[float] = []
@@ -430,8 +445,8 @@ def iterate_front(config: IterationConfig, params: WaveParams,
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
         r = config.b * phi + ramp_cutoff(phi, config.beta) * growth.g(conv(phi))
-        phi_next = _green_apply(r, z1, z2, h, lam)
-        if np.any(phi_next < phi_minus - slack) or np.any(phi_next > phi_plus + slack):
+        phi_next = green(r)
+        if np.any(phi_next < floor) or np.any(phi_next > ceiling):
             raise InvarianceBreachError(
                 "iterate escaped the sandwich; revisit b, beta, or the grid span")
         delta = float(np.max(np.abs(phi_next - phi)))
@@ -454,11 +469,9 @@ def iterate_front(config: IterationConfig, params: WaveParams,
     res = d2 - c * d1 + phi[1:-1] * gvals[1:-1]
     residual = float(np.max(np.abs(res[i0 - 1: i1 - 1])))
 
-    cross = []
-    sign = phi - 1.0
-    for i in range(n - 1):
-        if sign[i] == 0.0 or (sign[i] < 0) != (sign[i + 1] < 0):
-            cross.append(float(ts[i] - sign[i] * h / (sign[i + 1] - sign[i])))
+    s0, s1 = phi[:-1] - 1.0, phi[1:] - 1.0
+    at = np.flatnonzero((s0 == 0.0) | ((s0 < 0) != (s1 < 0)))
+    cross = (ts[at] - s0[at] * h / (s1[at] - s0[at])).tolist()
     lag = c * params.kernel.tau if params.kernel.kind == "discrete-delay" else None
     tail_floor = max(abs(phi[-1] - 1.0) * 30.0, 1e-8)
     profile = build_profile(ts, phi, crossings=cross, h=lag,

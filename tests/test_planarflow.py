@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from kolwave.errors import NoWindowError, PreconditionError, UnsupportedError
+from kolwave.errors import (
+    DivergenceError,
+    NoWindowError,
+    PreconditionError,
+    UnsupportedError,
+)
 from kolwave.numerics import integrate_ode
 from kolwave import planarflow as pf
 from kolwave.planarflow import (
@@ -266,6 +271,27 @@ def test_boundary_region_curve_with_threads():
     assert np.allclose(curve.columns["tau_upper"], [(31.0) / 4.0, 41.0 / 4.0])
     assert np.all(curve.columns["tau_sharp"] <= curve.columns["tau_star"] + 0.1)
     assert np.all(curve.columns["tau_star"] < curve.columns["tau_upper"])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_boundary_region_propagates_programming_errors(monkeypatch, jobs):
+    def broken(gamma, tol):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(pf, "tau_sharp", broken)
+    with pytest.raises(TypeError):
+        boundary_region([10.0, 20.0], kinds=("tau_sharp",), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_boundary_region_solver_failure_is_a_gap(monkeypatch, jobs):
+    def diverging(gamma, tol):
+        raise DivergenceError("step size underflow")
+
+    monkeypatch.setattr(pf, "tau_sharp", diverging)
+    curve = boundary_region([10.0, 20.0], kinds=("tau_sharp",), jobs=jobs)
+    assert np.all(np.isnan(curve.columns["tau_sharp"]))
+    assert np.allclose(curve.columns["tau_upper"], [11.0 / 4.0, 21.0 / 4.0])
 
 
 # ------------------------------------------------------- finite-speed profiles

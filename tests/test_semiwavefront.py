@@ -13,8 +13,12 @@ from kolwave.errors import (
 from kolwave.models import EffectiveKernel, GrowthModel, Kernel, WaveParams
 from kolwave.numerics import Grid
 from kolwave.profiles import MONOTONE
+from kolwave.spectral import kpp_roots
 from kolwave.semiwavefront import (
+    _GreenOperator,
     _green_apply,
+    _sweep,
+    _sweep_tables,
     apriori_bound,
     asymptotic_check,
     critical_speed_probe,
@@ -220,6 +224,101 @@ def test_green_operator_monotone_on_sandwich_pairs():
         psi = hi * np.minimum(1.0, cut + 0.5 * rng.random(len(ts)))
         phi = psi * rng.uniform(0.3, 1.0, len(ts))
         assert np.all(a_op(phi) <= a_op(psi) + 1e-9)
+
+
+# ------------------------------------------------------------ Green operator
+
+
+def _chunk_length(e):
+    return max(16, int(25.0 / max(1e-12, -math.log(e))))
+
+
+def _chunked_recurrence(g, e, init):
+    """Oracle: the chunk-by-chunk sweep the blocked one replaced.  I_0 = init;
+    I_i = e*I_{i-1} + g_i, with fresh power tables in every chunk."""
+    n = len(g)
+    out = np.empty(n)
+    out[0] = init
+    step = _chunk_length(e) if e < 1.0 else n
+    carry = init
+    i = 1
+    while i < n:
+        j = min(n, i + step)
+        block = g[i:j]
+        k = j - i
+        pw = e ** np.arange(1, k + 1)
+        inv = e ** -np.arange(k)
+        out[i:j] = pw * (carry + np.cumsum(block * inv) / e)
+        carry = out[j - 1]
+        i = j
+    return out
+
+
+SWEEP_RATIOS = [math.exp(-0.005), math.exp(-0.1), 0.5, 0.05]
+
+
+def _sweep_sizes(e):
+    k = _chunk_length(e)
+    # n = 2; n - 1 below the chunk length, an exact multiple of it, one past one
+    return [2, k // 2 + 1, 3 * k + 1, 3 * k + 2]
+
+
+@pytest.mark.parametrize("e", SWEEP_RATIOS)
+def test_blocked_sweep_equals_chunked_oracle_bitwise(e):
+    assert _chunk_length(0.05) == 16
+    rng = np.random.default_rng(11)
+    for n in _sweep_sizes(e):
+        g = rng.uniform(-1.0, 1.0, n)
+        g[0] = 0.0
+        got = _sweep(_sweep_tables(e, n), g[1:], 0.7)
+        assert np.array_equal(got, _chunked_recurrence(g, e, 0.7))
+
+
+@pytest.mark.parametrize("e", SWEEP_RATIOS)
+def test_blocked_sweep_matches_plain_loop(e):
+    rng = np.random.default_rng(12)
+    for n in _sweep_sizes(e):
+        g = rng.random(n)
+        want = np.empty(n)
+        want[0] = 0.7
+        for i in range(1, n):
+            want[i] = e * want[i - 1] + g[i]
+        got = _sweep(_sweep_tables(e, n), g[1:], 0.7)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.fixture(scope="module", params=[2.5, 3.2], ids=lambda c: f"c={c}")
+def food_dirac_operator(request):
+    c = request.param
+    params = WaveParams(GrowthModel.food_limited(1.0), Kernel.dirac(), c)
+    config, _ = default_config(params)
+    z1, z2 = config.green_rates(c)
+    lam, _ = kpp_roots(c, params.growth.g0)
+    return c, config, lam, z1, z2
+
+
+def test_green_operator_maps_shifted_constant_to_one(food_dirac_operator):
+    _, config, _, z1, z2 = food_dirac_operator
+    grid = config.grid
+    out = _GreenOperator(z1, z2, grid.dt, grid.n)(np.full(grid.n, config.b))
+    assert np.max(np.abs(out - 1.0)) < 1e-13
+
+
+def test_green_operator_exact_on_tail_mode(food_dirac_operator):
+    c, config, lam, z1, z2 = food_dirac_operator
+    grid = config.grid
+    mode = np.exp(lam * grid.nodes())
+    r = (config.b + c * lam - lam ** 2) * mode
+    out = _GreenOperator(z1, z2, grid.dt, grid.n, lam)(r)
+    half = grid.n // 2
+    assert np.max(np.abs(out[:half] / mode[:half] - 1.0)) < 1e-12
+
+
+def test_green_operator_with_tail_maps_constant_to_one_off_the_left_end(food_dirac_operator):
+    _, config, lam, z1, z2 = food_dirac_operator
+    grid = config.grid
+    out = _GreenOperator(z1, z2, grid.dt, grid.n, lam)(np.full(grid.n, config.b))
+    assert np.max(np.abs(out[grid.n // 4:] - 1.0)) < 1e-13
 
 
 def test_iteration_rejects_initial_state_outside_sandwich():
