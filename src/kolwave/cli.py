@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,12 +28,11 @@ from .models import (
     GrowthModel,
     Kernel,
     WaveParams,
+    json_field,
     params_from_json,
     params_to_json,
 )
 from .profiles import Profile, fmt_float, write_csv
-
-DEFAULT_TOL_ENV = "KW_SEED_TOL"
 
 
 @dataclass
@@ -112,16 +110,6 @@ def _profile_outputs(out: Path, stem: str, profile: Profile, manifest: RunManife
     manifest.outputs += [csv_path.name, json_path.name, svg_path.name]
 
 
-def _default_tol(fallback: float) -> float:
-    env = os.environ.get(DEFAULT_TOL_ENV)
-    if env is None:
-        return fallback
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise PreconditionError(f"{DEFAULT_TOL_ENV} is not a number: {env!r}") from exc
-
-
 def _build_params(args) -> WaveParams:
     if getattr(args, "json", None):
         try:
@@ -152,9 +140,9 @@ def _build_params(args) -> WaveParams:
     elif kspec.startswith("table:"):
         try:
             doc = json.loads(Path(kspec[6:]).read_text())
-            kernel = Kernel.tabulated(doc["s"], doc["density"])
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise PreconditionError(f"cannot read kernel table: {exc}") from exc
+        kernel = Kernel.tabulated(json_field(doc, "s", list), json_field(doc, "density", list))
     else:
         raise PreconditionError(f"unknown kernel {kspec!r}")
     return WaveParams(growth, kernel, args.c)
@@ -184,12 +172,11 @@ def cmd_roots(args, out: Path, manifest: RunManifest) -> int:
 
 
 def cmd_heteroclinic(args, out: Path, manifest: RunManifest) -> int:
-    tol = _default_tol(args.tol)
     if args.eps > 0:
         res = planarflow.finite_speed_profile(args.gamma, args.tau, args.eps,
-                                              args.amplitude, tol)
+                                              args.amplitude, args.tol)
     else:
-        res = planarflow.heteroclinic(args.gamma, args.tau, args.amplitude, tol)
+        res = planarflow.heteroclinic(args.gamma, args.tau, args.amplitude, args.tol)
     extra = {
         "phi_max": res.phi_max,
         "entry_direction": [float(v) for v in res.entry_direction],
@@ -205,12 +192,11 @@ def cmd_heteroclinic(args, out: Path, manifest: RunManifest) -> int:
 
 
 def cmd_limit_profile(args, out: Path, manifest: RunManifest) -> int:
-    tol = _default_tol(args.tol)
     if args.eps > 0:
         prof = discretedelay.finite_speed_profile(args.gamma, args.tau, args.eps,
-                                                  args.span, tol)
+                                                  args.span, args.tol)
     else:
-        prof = discretedelay.limit_profile(args.gamma, args.tau, args.span, tol)
+        prof = discretedelay.limit_profile(args.gamma, args.tau, args.span, args.tol)
     _profile_outputs(out, "phi", prof, manifest)
     print(f"shape={prof.shape} sup={prof.sup:.6f}")
     return 0
@@ -272,8 +258,7 @@ def _iteration_config(args, params):
         except (OSError, json.JSONDecodeError) as exc:
             raise PreconditionError(f"cannot read iteration config: {exc}") from exc
         return semiwavefront.config_from_json(doc)
-    tol = _default_tol(args.tol)
-    return semiwavefront.default_config(params, dt=args.dt, tol=tol)[0]
+    return semiwavefront.default_config(params, dt=args.dt, tol=args.tol)[0]
 
 
 def cmd_iterate(args, out: Path, manifest: RunManifest) -> int:

@@ -2,15 +2,16 @@
 
 Single home for all model symbols: per-capita growth G (food-limited,
 quadratic, plain logistic/KPP), the spatiotemporal kernel K, the
-speed-projected one-dimensional kernel N_c, the exponential moment
-transform of N_c, and the JSON wire format for model descriptions.
+speed-projected one-dimensional kernel N_c with its moments, the comb
+layout of N_c for convolution, and the JSON wire format for model
+descriptions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ __all__ = [
     "WaveParams",
     "EffectiveKernel",
     "effective_kernel",
-    "moment_transform",
+    "json_field",
     "params_to_json",
     "params_from_json",
 ]
@@ -137,7 +138,8 @@ def _normalize_table(s, w):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Normalized averaging kernel K(s, y) in one of four shapes.
+    """Normalized averaging kernel K(s, y) in one of four shapes, and the
+    moments of its speed projection N_c(s) = integral K(v, s - c*v) dv.
 
     dirac-spatial   K = K1(y) * delta(s); K1 a delta at 0 by default, or a
                     tabulated density over y.
@@ -146,12 +148,22 @@ class Kernel:
                     exp(-y^2/4s)/sqrt(4 pi s) * exp(-s/tau)/tau on s > 0.
     tabulated-N     the speed-projected density N_c given directly as samples
                     (then independent of c).
+
+    N_c is a point mass at c*tau for the delta kernels (tau is 0 for
+    dirac-spatial), the two-sided exponential
+    exp(c*s/2 - |s|*sqrt(A)) / (2*tau*sqrt(A)), A = c^2/4 + 1/tau, for the
+    weak kernel, and the piecewise-linear table otherwise; every moment below
+    is closed-form except on tables, which use the trapezoid rule on their nodes.
     """
 
     kind: str
     tau: float = 0.0
     table_s: tuple = ()
     table_w: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("dirac-spatial", "discrete-delay", "weak-generic", "tabulated-N"):
+            raise PreconditionError(f"unknown kernel kind {self.kind!r}")
 
     @classmethod
     def dirac(cls) -> "Kernel":
@@ -183,53 +195,93 @@ class Kernel:
     def has_table(self) -> bool:
         return len(self.table_s) > 0
 
+    @property
+    def is_atom(self) -> bool:
+        """N_c is a point mass, at c*tau."""
+        return not self.has_table and self.kind != "weak-generic"
+
+    def _weak_rates(self, c: float) -> tuple[float, float]:
+        """Decay rates (right, left) of the weak kernel's N_c: it is
+        exp(-right*s) for s > 0 and exp(left*s) for s < 0, over tau*(right+left)."""
+        half = math.sqrt(c * c / 4.0 + 1.0 / self.tau)
+        return half - c / 2.0, half + c / 2.0
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.table_s), np.array(self.table_w)
+
+    def _clipped(self, lo: float, hi: float):
+        """Nodes and density of the table restricted to [lo, hi], the cut ends
+        interpolated (whole-line moments read the stored arrays instead)."""
+        s, w = self._arrays
+        lo, hi = max(lo, s[0]), min(hi, s[-1])
+        if not hi > lo:
+            return s[:0], w[:0]
+        keep = (s > lo) & (s < hi)
+        ends = np.interp([lo, hi], s, w)
+        return (np.concatenate(([lo], s[keep], [hi])),
+                np.concatenate((ends[:1], w[keep], ends[1:])))
+
     def laplace(self, lam: float, c: float) -> float:
-        """Exponential moment of the projected kernel,
-        integral of exp(-lam*(c*s + y)) against K; +inf past the abscissa."""
-        if self.kind == "dirac-spatial":
-            if not self.has_table:
-                return 1.0
-            s = np.array(self.table_s)
-            w = np.array(self.table_w)
-            val = float(np.trapezoid(w * np.exp(-lam * s), s))
-            return val
-        if self.kind == "discrete-delay":
+        """Whole-line moment integral exp(-lam*s) N_c(s) ds, i.e. the integral
+        of exp(-lam*(c*s + y)) against K; +inf past the abscissa."""
+        if self.is_atom:
             return math.exp(-lam * c * self.tau)
         if self.kind == "weak-generic":
             denom = 1.0 + self.tau * (c * lam - lam * lam)
-            if denom <= 0.0:
-                return math.inf
-            return 1.0 / denom
-        s = np.array(self.table_s)
-        w = np.array(self.table_w)
+            return 1.0 / denom if denom > 0.0 else math.inf
+        s, w = self._arrays
         with np.errstate(over="ignore"):
             val = float(np.trapezoid(w * np.exp(-lam * s), s))
         return val if math.isfinite(val) else math.inf
 
     def laplace_deriv(self, lam: float, c: float) -> float:
-        if self.kind == "dirac-spatial":
-            if not self.has_table:
-                return 0.0
-            s = np.array(self.table_s)
-            w = np.array(self.table_w)
-            return float(np.trapezoid(-s * w * np.exp(-lam * s), s))
-        if self.kind == "discrete-delay":
+        if self.is_atom:
             return -c * self.tau * math.exp(-lam * c * self.tau)
         if self.kind == "weak-generic":
             denom = 1.0 + self.tau * (c * lam - lam * lam)
-            if denom <= 0.0:
-                return math.inf
-            return -self.tau * (c - 2.0 * lam) / (denom * denom)
-        s = np.array(self.table_s)
-        w = np.array(self.table_w)
+            return -self.tau * (c - 2.0 * lam) / (denom * denom) if denom > 0.0 else math.inf
+        s, w = self._arrays
         return float(np.trapezoid(-s * w * np.exp(-lam * s), s))
 
     def finite_moment_interval(self, c: float) -> tuple[float, float]:
         """(lo, hi) open interval of lam where the moment is finite."""
         if self.kind == "weak-generic":
-            half = math.sqrt(c * c / 4.0 + 1.0 / self.tau)
-            return (c / 2.0 - half, c / 2.0 + half)
+            right, left = self._weak_rates(c)
+            return (-right, left)
         return (-math.inf, math.inf)
+
+    def laplace_right(self, lam: float, c: float) -> float:
+        """Right-half moment integral over [0, +inf) of exp(-lam*s) N_c(s) ds;
+        at lam = 0 the right mass (an atom at 0 counts as right mass)."""
+        if self.is_atom:  # at c*tau, rounded as effective_kernel places the atom
+            return math.exp(-lam * (c * self.tau))
+        if self.kind == "weak-generic":
+            right, left = self._weak_rates(c)
+            return 1.0 / (self.tau * (right + left) * (right + lam)) if lam > -right else math.inf
+        s, w = self._clipped(0.0, math.inf)
+        return float(np.trapezoid(w * np.exp(-lam * s), s))
+
+    def mean(self, c: float) -> float:
+        if self.has_table:
+            s, w = self._arrays
+            return float(np.trapezoid(s * w, s))
+        return c * self.tau
+
+    def mass_on(self, lo: float, hi: float, c: float) -> float:
+        """Mass of N_c on the window [lo, hi]."""
+        if self.is_atom:
+            return 1.0 if lo <= c * self.tau <= hi else 0.0
+        if self.kind == "weak-generic":
+            right, left = self._weak_rates(c)
+
+            def below(x: float) -> float:  # mass of N_c on (-inf, x]
+                return (right * math.exp(left * x) if x <= 0.0
+                        else right + left - left * math.exp(-right * x)) / (right + left)
+
+            return below(hi) - below(lo)
+        s, w = self._clipped(lo, hi)
+        return float(np.trapezoid(w, s))
 
 
 @dataclass(frozen=True)
@@ -243,11 +295,6 @@ class WaveParams:
             raise PreconditionError("wave speed must be non-negative")
 
     @property
-    def eps_speed(self) -> float:
-        """1/c^2, the slow-speed parameter of the large-c scalings."""
-        return self.c ** -2
-
-    @property
     def speed_flag(self) -> str:
         if self.c >= 2.0 * math.sqrt(self.growth.gstar) - 1e-12:
             return "existence-guaranteed"
@@ -256,79 +303,19 @@ class WaveParams:
         return "undetermined"
 
 
+@dataclass(frozen=True, eq=False)
 class EffectiveKernel:
-    """Speed-projected kernel N_c: either a single point mass or a
-    piecewise-linear tabulated density with unit mass."""
+    """The projected kernel N_c laid out for the convolution comb: a single
+    point mass at `atom`, or a piecewise-linear density w on the nodes s.
+    Its moments are on Kernel."""
 
-    def __init__(self, atom: float | None = None, s: np.ndarray | None = None,
-                 w: np.ndarray | None = None):
-        self.atom = atom
-        if atom is None:
-            mass = float(np.trapezoid(w, s))
-            self.s = np.asarray(s, dtype=float)
-            self.w = np.asarray(w, dtype=float) / mass
-        else:
-            self.s = None
-            self.w = None
+    atom: float | None = None
+    s: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     @property
     def is_atom(self) -> bool:
         return self.atom is not None
-
-    def mass(self) -> float:
-        if self.is_atom:
-            return 1.0
-        return float(np.trapezoid(self.w, self.s))
-
-    def mean(self) -> float:
-        if self.is_atom:
-            return self.atom
-        return float(np.trapezoid(self.s * self.w, self.s))
-
-    def right_mass(self) -> float:
-        """Mass on [0, +inf); an atom exactly at 0 counts as right mass."""
-        if self.is_atom:
-            return 1.0 if self.atom >= 0 else 0.0
-        s, w = self.s, self.w
-        if s[0] >= 0:
-            return self.mass()
-        if s[-1] <= 0:
-            return 0.0
-        i = int(np.searchsorted(s, 0.0))
-        w0 = np.interp(0.0, s, w)
-        ss = np.concatenate(([0.0], s[i:]))
-        ww = np.concatenate(([w0], w[i:]))
-        return float(np.trapezoid(ww, ss))
-
-    def mass_on(self, lo: float, hi: float) -> float:
-        if self.is_atom:
-            return 1.0 if lo <= self.atom <= hi else 0.0
-        grid = np.linspace(max(lo, self.s[0]), min(hi, self.s[-1]), 2001)
-        if grid[-1] <= grid[0]:
-            return 0.0
-        return float(np.trapezoid(np.interp(grid, self.s, self.w), grid))
-
-    def laplace(self, lam: float) -> float:
-        """integral exp(-lam*s) N(s) ds over the whole line."""
-        if self.is_atom:
-            return math.exp(-lam * self.atom)
-        with np.errstate(over="ignore"):
-            val = float(np.trapezoid(self.w * np.exp(-lam * self.s), self.s))
-        return val if math.isfinite(val) else math.inf
-
-    def laplace_right(self, lam: float) -> float:
-        """integral over [0, +inf) of exp(-lam*s) N(s) ds."""
-        if self.is_atom:
-            return math.exp(-lam * self.atom) if self.atom >= 0 else 0.0
-        s, w = self.s, self.w
-        if s[-1] <= 0:
-            return 0.0
-        if s[0] < 0:
-            i = int(np.searchsorted(s, 0.0))
-            w0 = np.interp(0.0, s, w)
-            s = np.concatenate(([0.0], s[i:]))
-            w = np.concatenate(([w0], w[i:]))
-        return float(np.trapezoid(w * np.exp(-lam * s), s))
 
     def convolve_weights(self, h: float) -> tuple[int, np.ndarray]:
         """Quadrature weights on an h-spaced comb for the convolution
@@ -388,35 +375,20 @@ def _weak_table(tau: float, c: float, tol: float) -> tuple:
 
 
 def effective_kernel(kernel: Kernel, c: float, tol: float = 1e-8) -> EffectiveKernel:
-    """Project K onto the wave variable: N_c(s) = integral K(v, s - c*v) dv.
+    """N_c laid out for the convolution comb.
 
-    Point-mass kernels project to point masses; the weak-generic kernel is
-    tabulated on an adaptive grid covering all but < 1e-8 of its mass and
-    renormalized to unit mass.
+    Point-mass kernels project to point masses and tables to themselves; the
+    weak-generic kernel is tabulated on an adaptive grid covering all but
+    < 1e-8 of its mass.
     """
-    if kernel.kind == "discrete-delay":
+    if kernel.is_atom:
         return EffectiveKernel(atom=c * kernel.tau)
-    if kernel.kind == "dirac-spatial":
-        if not kernel.has_table:
-            return EffectiveKernel(atom=0.0)
+    if kernel.has_table:
         return EffectiveKernel(s=np.array(kernel.table_s), w=np.array(kernel.table_w))
-    if kernel.kind == "tabulated-N":
-        return EffectiveKernel(s=np.array(kernel.table_s), w=np.array(kernel.table_w))
-    if kernel.kind == "weak-generic":
-        if not c > 0:
-            raise PreconditionError("weak-generic projection needs c > 0")
-        s, w = _weak_table(kernel.tau, float(c), float(tol))
-        return EffectiveKernel(s=np.array(s), w=np.array(w))
-    raise PreconditionError(f"unknown kernel kind {kernel.kind!r}")
-
-
-def moment_transform(kernel: Kernel, c: float, lam: float) -> float:
-    """Exponential moment of the projected kernel at decay rate lam.
-
-    Equals 1 at lam = 0 for every normalized kernel; returns math.inf past
-    the finiteness abscissa instead of raising.
-    """
-    return kernel.laplace(lam, c)
+    if not c > 0:
+        raise PreconditionError("weak-generic projection needs c > 0")
+    s, w = _weak_table(kernel.tau, float(c), float(tol))
+    return EffectiveKernel(s=np.array(s), w=np.array(w))
 
 
 def growth_to_json(growth: GrowthModel) -> dict:
@@ -445,12 +417,37 @@ def params_to_json(params: WaveParams) -> dict:
     }
 
 
+_JSON_KINDS = {float: "a number", int: "a number", dict: "an object", list: "a list of numbers"}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def json_field(doc: dict, key: str, kind: type = float, default=None):
+    """doc[key] as a float, an int, an object (dict) or a list of numbers; a
+    field that is missing (and has no default) or holds another type raises
+    PreconditionError naming it."""
+    if not isinstance(doc, dict) or key not in doc:
+        if default is None:
+            raise PreconditionError(f"JSON field {key!r} is missing")
+        return default
+    value = doc[key]
+    if kind in (float, int) and _is_number(value):
+        return kind(value)
+    if (kind is dict and isinstance(value, dict)
+            or kind is list and isinstance(value, list) and all(map(_is_number, value))):
+        return value
+    raise PreconditionError(f"JSON field {key!r} must be {_JSON_KINDS[kind]}, "
+                            f"not {type(value).__name__}")
+
+
 def growth_from_json(doc: dict) -> GrowthModel:
     kind = doc.get("kind")
     if kind == "food-limited":
-        return GrowthModel.food_limited(doc["gamma"])
+        return GrowthModel.food_limited(json_field(doc, "gamma"))
     if kind == "quadratic":
-        return GrowthModel.quadratic(doc["a"], doc["b"])
+        return GrowthModel.quadratic(json_field(doc, "a"), json_field(doc, "b"))
     if kind == "kpp":
         return GrowthModel.kpp()
     raise PreconditionError(f"unknown growth kind {kind!r}")
@@ -460,20 +457,22 @@ def kernel_from_json(doc: dict) -> Kernel:
     kind = doc.get("kind")
     if kind == "dirac-spatial":
         if "s" in doc:
-            return Kernel.dirac_table(doc["s"], doc["density"])
+            return Kernel.dirac_table(json_field(doc, "s", list), json_field(doc, "density", list))
         return Kernel.dirac()
     if kind == "discrete-delay":
-        return Kernel.discrete(doc["tau"])
+        return Kernel.discrete(json_field(doc, "tau"))
     if kind == "weak-generic":
-        return Kernel.weak(doc["tau"])
+        return Kernel.weak(json_field(doc, "tau"))
     if kind == "tabulated-N":
-        return Kernel.tabulated(doc["s"], doc["density"])
+        return Kernel.tabulated(json_field(doc, "s", list), json_field(doc, "density", list))
     raise PreconditionError(f"unknown kernel kind {kind!r}")
 
 
 def params_from_json(doc: dict) -> WaveParams:
+    """WaveParams from its JSON document (see params_to_json); a missing or
+    mistyped field raises PreconditionError naming it."""
     return WaveParams(
-        growth=growth_from_json(doc["growth"]),
-        kernel=kernel_from_json(doc["kernel"]),
-        c=float(doc["c"]),
+        growth=growth_from_json(json_field(doc, "growth", dict)),
+        kernel=kernel_from_json(json_field(doc, "kernel", dict)),
+        c=json_field(doc, "c"),
     )

@@ -584,38 +584,12 @@ def _simpson_rec(f, a, fa, m, fm, b, fb, whole, tol_abs, depth, budget):
     )
 
 
-def _tail_cutoff(f, anchor: float, sign: float, rel_floor: float) -> float:
-    """Walk a geometric node ladder away from `anchor` until the integrand
-    stays below rel_floor of its observed peak at two consecutive nodes."""
-    probes = [anchor + sign * (2.0 ** k) * 2.0 ** -6 for k in range(0, 70)]
-    mags = [abs(f(p)) for p in probes]
-    peak = max(mags)
-    if peak == 0.0:
-        return probes[8]
-    i_peak = int(np.argmax(mags))
-    floor = rel_floor * peak
-    for i in range(i_peak + 1, len(mags) - 1):
-        if mags[i] < floor and mags[i + 1] < floor:
-            return probes[i + 1]
-    raise QuadratureError("integrand tail does not fall below truncation floor")
-
-
 def quad_adaptive(f, domain, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature with |error| <= tol*(1 + |value|).
-
-    Semi-infinite ends are truncated where the integrand drops below
-    tol*1e-3 of its peak along a geometric node ladder (exponential tails
-    assumed).
-    """
+    """Adaptive Simpson quadrature over a finite domain with
+    |error| <= tol*(1 + |value|)."""
     a, b = float(domain[0]), float(domain[1])
-    if math.isinf(a) and math.isinf(b):
-        return quad_adaptive(f, (a, 0.0), tol) + quad_adaptive(f, (0.0, b), tol)
-    if math.isinf(b):
-        b = _tail_cutoff(f, a, +1.0, tol * 1e-3)
-    elif math.isinf(a):
-        a = _tail_cutoff(f, b, -1.0, tol * 1e-3)
-    if not b > a:
-        raise PreconditionError("empty quadrature domain")
+    if not (b > a and math.isfinite(a) and math.isfinite(b)):
+        raise PreconditionError("quadrature needs a finite, non-empty domain")
 
     # rough magnitude from a coarse scan fixes the absolute budget
     xs = np.linspace(a, b, 17)

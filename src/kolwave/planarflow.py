@@ -30,7 +30,7 @@ from .errors import (
     StiffShootingError,
     UnsupportedError,
 )
-from .numerics import EventSpec, cubic_real_roots, integrate_ode, maximize_scalar
+from .numerics import EventSpec, cubic_real_roots, integrate_ode
 from .profiles import OSCILLATING, OVERSHOOT_EPS, RegionCurve, build_profile
 from .profiles import Profile, classify_shape, significant_crossings
 
@@ -381,12 +381,13 @@ def test_function_check(gamma: float, tau: float, tf: TestFunction) -> TestFunct
     return TestFunctionReport(holds=not failed, failed=tuple(failed), fail_x=fail_x)
 
 
-def test_function_threshold(tol: float = 1e-9) -> tuple[float, float]:
+def test_function_threshold() -> tuple[float, float]:
     """Smallest barrier constant min over (0,1) of x^2 + 2x + 2/x and the
     induced lower gamma threshold (13 + 3m)/(m - 1) above which some delay
-    window admits a certificate."""
-    _, neg = maximize_scalar(lambda x: -(x * x + 2.0 * x + 2.0 / x), (1e-9, 1.0), tol)
-    m = -neg
+    window admits a certificate.  The minimiser is the real root of
+    x^3 + x^2 - 1 = 0, where the derivative 2x + 2 - 2/x^2 vanishes."""
+    (x,) = cubic_real_roots(1.0, 1.0, 0.0, -1.0)
+    m = x * x + 2.0 * x + 2.0 / x
     return m, (13.0 + 3.0 * m) / (m - 1.0)
 
 

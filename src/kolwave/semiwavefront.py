@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .models import EffectiveKernel, GrowthModel, WaveParams, effective_kernel
+from .models import GrowthModel, Kernel, WaveParams, effective_kernel, json_field
 from .numerics import Grid, find_root
 from .profiles import Profile, build_profile
 from .spectral import kpp_roots, roots_at_one
@@ -86,7 +86,7 @@ def _sigma_for_left_branch(c: float, lam: float) -> float:
     return find_root(q, (lo, hi), 1e-12)
 
 
-def apriori_bound(c: float, nker: EffectiveKernel, growth: GrowthModel) -> BoundReport:
+def apriori_bound(c: float, kernel: Kernel, growth: GrowthModel) -> BoundReport:
     """Uniform bound U >= 1 on all semi-wavefronts, from the projected
     kernel's exponential moment on the right half-line, or (for kernels
     concentrated on the left) from a finite look-back window plus a slope
@@ -95,13 +95,13 @@ def apriori_bound(c: float, nker: EffectiveKernel, growth: GrowthModel) -> Bound
         raise PreconditionError("bound needs G(s) < G(0) = max G for s > 0")
     lam, _ = kpp_roots(c, growth.g0)
 
-    right = nker.right_mass()
+    right = kernel.laplace_right(0.0, c)
     candidates: list[tuple[float, str]] = []
     if right > 0.0:
-        candidates.append((1.0 / nker.laplace_right(lam), "right-mass"))
+        candidates.append((1.0 / kernel.laplace_right(lam, c), "right-mass"))
     if right < 0.001:
         r = 1
-        while nker.mass_on(-float(r), 0.0) <= 0.99:
+        while kernel.mass_on(-float(r), 0.0, c) <= 0.99:
             r += 1
             if r > 10_000:
                 raise KolwaveError("kernel mass does not concentrate on a finite window")
@@ -170,7 +170,7 @@ def kpp_upper_solution(c: float, g0: float, beta: float) -> UpperSolution:
 
 
 def lower_amplitude(c: float, g0: float, mu_lower: float, upper: UpperSolution,
-                    nker: EffectiveKernel, growth: GrowthModel) -> float:
+                    kernel: Kernel, growth: GrowthModel) -> float:
     """Smallest safe M for the lower solution max(0, e^(lam t)(1 - M e^(mu_lower t))).
 
     M must beat L*p*moment / (-chi(lam+mu_lower)) where L = sup phi_+ e^(-mu_lower t),
@@ -182,7 +182,7 @@ def lower_amplitude(c: float, g0: float, mu_lower: float, upper: UpperSolution,
     chi = (lam + mu_lower) ** 2 - c * (lam + mu_lower) + g0
     if chi >= 0.0:
         raise PreconditionError("shifted rate escaped the unstable interval")
-    moment = nker.laplace(mu_lower)
+    moment = kernel.laplace(mu_lower, c)
     if not math.isfinite(moment):
         raise MomentError(f"kernel moment diverges at rate {mu_lower}")
     ts = np.linspace(upper.t_join - 40.0 / lam, upper.t_join + 40.0 / max(-upper.zhat, 1e-6), 4001)
@@ -224,14 +224,15 @@ class IterationConfig:
 def config_from_json(doc: dict) -> IterationConfig:
     """IterationConfig from its JSON document:
     {"b": .., "beta": .., "grid": {"t0": .., "dt": .., "n": ..},
-     "max_iters": .., "tol": ..}."""
-    g = doc["grid"]
+     "max_iters": .., "tol": ..}; a missing or mistyped field raises
+    PreconditionError naming it."""
+    g = json_field(doc, "grid", dict)
     return IterationConfig(
-        b=float(doc["b"]),
-        beta=float(doc["beta"]),
-        grid=Grid(float(g["t0"]), float(g["dt"]), int(g["n"])),
-        max_iters=int(doc.get("max_iters", 1500)),
-        tol=float(doc.get("tol", 1e-9)),
+        b=json_field(doc, "b"),
+        beta=json_field(doc, "beta"),
+        grid=Grid(json_field(g, "t0"), json_field(g, "dt"), json_field(g, "n", int)),
+        max_iters=json_field(doc, "max_iters", int, 1500),
+        tol=json_field(doc, "tol", float, 1e-9),
     )
 
 
@@ -251,8 +252,7 @@ def default_config(params: WaveParams, dt: float = 0.02, tol: float = 1e-9,
     bound, shift b = 2*(G(0) - min G on [0, 2*beta]) + 1, and a grid wide
     enough that both end states are resolved to ~1e-9."""
     growth, c = params.growth, params.c
-    nker = effective_kernel(params.kernel, c)
-    bound = apriori_bound(c, nker, growth)
+    bound = apriori_bound(c, params.kernel, growth)
     beta = 1.5 * bound.U
     us = np.linspace(0.0, 2.0 * beta, 2001)
     b = 2.0 * (growth.g0 - float(np.min(growth.g(us)))) + 1.0
@@ -262,7 +262,7 @@ def default_config(params: WaveParams, dt: float = 0.02, tol: float = 1e-9,
     negs = rep.real_roots(-1)
     rate_plus = max((r.re for r in negs), default=-abs(growth.gp1) / c)
     t_lo = -(21.0 / lam) * span_pad
-    mean_shift = max(nker.mean(), 0.0)
+    mean_shift = max(params.kernel.mean(c), 0.0)
     t_hi = (21.0 / max(-rate_plus, 1e-3) + mean_shift + 10.0) * span_pad
     n = int((t_hi - t_lo) / dt) + 1
     grid = Grid(t_lo, dt, n)
@@ -361,8 +361,9 @@ def _green_apply(r: np.ndarray, z1: float, z2: float, h: float,
     return _GreenOperator(z1, z2, h, len(r), lam)(r)
 
 
-def _convolver(nker: EffectiveKernel, h: float, n: int):
-    m0, wts = nker.convolve_weights(h)
+def _convolver(kernel: Kernel, c: float, h: float, n: int):
+    """phi -> N_c * phi on the grid, through the comb of effective_kernel."""
+    m0, wts = effective_kernel(kernel, c).convolve_weights(h)
     m = len(wts)
     pad_l = max(0, m0 + m)
     pad_r = max(0, -m0 + 1)
@@ -404,14 +405,13 @@ def iterate_front(config: IterationConfig, params: WaveParams,
     Returns the profile with decay fits plus the defect of the profile
     equation under central differences on the trimmed interior.
     """
-    growth, c = params.growth, params.c
+    growth, kernel, c = params.growth, params.kernel, params.c
     grid = config.grid
     h = grid.dt
     ts = grid.nodes()
     n = grid.n
 
-    nker = effective_kernel(params.kernel, c)
-    bound = apriori_bound(c, nker, growth)
+    bound = apriori_bound(c, kernel, growth)
     if config.beta <= bound.U:
         raise PreconditionError("cutoff level must exceed the a-priori bound")
 
@@ -419,14 +419,14 @@ def iterate_front(config: IterationConfig, params: WaveParams,
     phi_plus = upper(ts)
     lam, mu = upper.lam, upper.mu
     mu_lower = 0.45 * min(lam, mu - lam)
-    m_amp = lower_amplitude(c, growth.g0, mu_lower, upper, nker, growth)
+    m_amp = lower_amplitude(c, growth.g0, mu_lower, upper, kernel, growth)
     phi_minus = lower_solution(c, growth.g0, mu_lower, m_amp, grid)
     if np.any(phi_minus > phi_plus + 1e-12):
         raise KolwaveError("lower solution escaped above the upper solution")
 
     z1, z2 = config.green_rates(c)
     green = _GreenOperator(z1, z2, h, n, lam)
-    conv = _convolver(nker, h, n)
+    conv = _convolver(kernel, c, h, n)
 
     # the discrete Green image of the upper solution's own right-hand side
     # measures the O(h^2) defect of the discretization; the sandwich slack
@@ -458,7 +458,7 @@ def iterate_front(config: IterationConfig, params: WaveParams,
 
     # defect of the profile equation on the trimmed interior
     margin_l = 12.0 / min(-z1, lam)
-    margin_r = 12.0 / z2 + max(nker.mean(), 0.0) + (0.0 if nker.is_atom else 5.0)
+    margin_r = 12.0 / z2 + max(kernel.mean(c), 0.0) + (0.0 if kernel.is_atom else 5.0)
     i0 = max(1, int(margin_l / h))
     i1 = min(n - 1, n - 1 - int(margin_r / h))
     if i1 - i0 < 10:
@@ -472,7 +472,7 @@ def iterate_front(config: IterationConfig, params: WaveParams,
     s0, s1 = phi[:-1] - 1.0, phi[1:] - 1.0
     at = np.flatnonzero((s0 == 0.0) | ((s0 < 0) != (s1 < 0)))
     cross = (ts[at] - s0[at] * h / (s1[at] - s0[at])).tolist()
-    lag = c * params.kernel.tau if params.kernel.kind == "discrete-delay" else None
+    lag = c * kernel.tau if kernel.kind == "discrete-delay" else None
     tail_floor = max(abs(phi[-1] - 1.0) * 30.0, 1e-8)
     profile = build_profile(ts, phi, crossings=cross, h=lag,
                             flags=() if converged else ("unconverged",),

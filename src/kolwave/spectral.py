@@ -167,8 +167,8 @@ def roots_at_one(
     gp1 = params.growth.gp1
     kern = params.kernel
 
-    lag_scale = max(kern.tau * c, 1.0) if kern.kind in ("discrete-delay", "weak-generic") else 1.0
-    lo_req, hi_req = window if window is not None else (-20.0 / max(lag_scale, 1e-12), 0.0)
+    lag_scale = max(kern.tau * c, 1.0)  # 1 for the dirac and table kernels, whose tau is 0
+    lo_req, hi_req = window if window is not None else (-20.0 / lag_scale, 0.0)
 
     lo_fin, _ = kern.finite_moment_interval(c)
     truncated = None

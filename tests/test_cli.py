@@ -39,6 +39,31 @@ def test_malformed_json_exits_2(tmp_path):
     assert (tmp_path / "iterate.manifest.json").exists()  # manifest even on failure
 
 
+def test_model_json_missing_field_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"growth": {"kind": "food-limited"},
+                                 "kernel": {"kind": "dirac-spatial"}, "c": 2.5}))
+    assert run(tmp_path, "iterate", "--json", str(model)) == 2
+    assert "'gamma'" in capsys.readouterr().err
+    assert (tmp_path / "iterate.manifest.json").exists()
+
+
+def test_kernel_table_mistyped_field_exits_2(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"s": [0.0, 1.0], "density": "flat"}))
+    assert run(tmp_path, "iterate", "--kernel", f"table:{table}") == 2
+    assert "'density'" in capsys.readouterr().err
+    assert (tmp_path / "iterate.manifest.json").exists()
+
+
+def test_config_json_missing_field_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"b": 1.0}))
+    assert run(tmp_path, "iterate", "--preset", "kpp", "--config", str(config)) == 2
+    assert "'grid'" in capsys.readouterr().err
+    assert (tmp_path / "iterate.manifest.json").exists()
+
+
 def test_heteroclinic_outputs(tmp_path):
     code = run(tmp_path, "heteroclinic", "--gamma", "40", "--tau", "10")
     assert code == 0
@@ -162,13 +187,6 @@ def test_outputs_are_byte_reproducible(tmp_path):
                      "discrete", "--out", str(d)]) == 0
     for name in ("phi.csv", "phi.json", "phi.svg", "roots.csv", "roots.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
-def test_env_var_sets_default_tolerance(tmp_path, monkeypatch):
-    monkeypatch.setenv("KW_SEED_TOL", "not-a-number")
-    assert run(tmp_path, "limit-profile", "--gamma", "9", "--tau", "0.5") == 2
-    monkeypatch.setenv("KW_SEED_TOL", "1e-8")
-    assert run(tmp_path, "limit-profile", "--gamma", "9", "--tau", "0.5") == 0
 
 
 def test_weak_and_finite_profile_commands(tmp_path):

@@ -10,7 +10,7 @@ from kolwave.errors import (
     SubcriticalSpeedError,
     UnsupportedError,
 )
-from kolwave.models import EffectiveKernel, GrowthModel, Kernel, WaveParams
+from kolwave.models import GrowthModel, Kernel, WaveParams
 from kolwave.numerics import Grid
 from kolwave.profiles import MONOTONE
 from kolwave.spectral import kpp_roots
@@ -60,24 +60,22 @@ def test_ramp_cutoff_branches():
 
 def test_bound_point_mass_at_zero_is_one():
     for c in (2.0, 2.5, 4.0):
-        rep = apriori_bound(c, EffectiveKernel(atom=0.0), GrowthModel.kpp())
+        rep = apriori_bound(c, Kernel.dirac(), GrowthModel.kpp())
         assert rep.U == 1.0
         assert rep.branch == "right-mass"
 
 
 def test_bound_discrete_delay_closed_form():
     tau = 0.5
-    nker = EffectiveKernel(atom=2.0 * tau)  # c = 2 puts the mass at c*tau
-    rep = apriori_bound(2.0, nker, GrowthModel.kpp())
+    rep = apriori_bound(2.0, Kernel.discrete(tau), GrowthModel.kpp())  # mass at c*tau
     assert rep.U == pytest.approx(math.exp(2.0 * tau), rel=1e-12)
 
 
 def test_bound_left_supported_kernel_uses_lookback_branch():
     s = np.linspace(-3.0, -0.5, 301)
     w = np.exp(-((s + 1.5) ** 2) / 0.1)
-    nker = EffectiveKernel(s=s, w=w)
     c = 2.5
-    rep = apriori_bound(c, nker, GrowthModel.kpp())
+    rep = apriori_bound(c, Kernel.tabulated(s, w), GrowthModel.kpp())
     assert rep.branch == "left-support"
     assert rep.U >= 2.0
     # the sigma used satisfies the slope-budget inequality
@@ -92,21 +90,21 @@ def test_bound_tiny_right_mass_takes_smaller_branch():
     # both branch formulas apply and the look-back one wins
     s = np.concatenate((np.linspace(-3.0, -0.5, 300), np.linspace(0.0, 0.1, 30)))
     w = np.concatenate((np.exp(-((s[:300] + 1.5) ** 2) / 0.1), np.full(30, 1e-3)))
-    nker = EffectiveKernel(s=s, w=w)
-    assert 0.0 < nker.right_mass() < 1e-3
-    rep = apriori_bound(2.5, nker, GrowthModel.kpp())
+    kern = Kernel.tabulated(s, w)
+    assert 0.0 < kern.laplace_right(0.0, 2.5) < 1e-3
+    rep = apriori_bound(2.5, kern, GrowthModel.kpp())
     assert rep.branch == "left-support"
-    assert rep.U < 1.0 / nker.laplace_right(0.5)
+    assert rep.U < 1.0 / kern.laplace_right(0.5, 2.5)
 
 
 def test_bound_rejects_allee_growth():
     with pytest.raises(PreconditionError):
-        apriori_bound(3.0, EffectiveKernel(atom=0.0), GrowthModel.quadratic(1.0, 0.8))
+        apriori_bound(3.0, Kernel.dirac(), GrowthModel.quadratic(1.0, 0.8))
 
 
 def test_bound_subcritical_speed_error():
     with pytest.raises(SubcriticalSpeedError):
-        apriori_bound(1.0, EffectiveKernel(atom=0.0), GrowthModel.kpp())
+        apriori_bound(1.0, Kernel.dirac(), GrowthModel.kpp())
 
 
 # ------------------------------------------------------------ upper solution
@@ -140,10 +138,9 @@ def test_upper_solution_needs_supercritical_speed():
 def test_lower_solution_clamps_and_sits_below_upper():
     c, g0, beta = 2.5, 1.0, 1.5
     up = kpp_upper_solution(c, g0, beta)
-    nker = EffectiveKernel(atom=0.0)
     growth = GrowthModel.kpp()
     mu_lower = 0.45 * min(up.lam, up.mu - up.lam)
-    m_amp = lower_amplitude(c, g0, mu_lower, up, nker, growth)
+    m_amp = lower_amplitude(c, g0, mu_lower, up, Kernel.dirac(), growth)
     grid = Grid(-40.0, 0.01, 9001)
     lo = lower_solution(c, g0, mu_lower, m_amp, grid)
     hi = up(grid.nodes())
@@ -157,7 +154,7 @@ def test_lower_solution_clamps_and_sits_below_upper():
 def test_lower_amplitude_guards_rate_window():
     up = kpp_upper_solution(2.5, 1.0, 1.5)
     with pytest.raises(PreconditionError):
-        lower_amplitude(2.5, 1.0, 0.6, up, EffectiveKernel(atom=0.0), GrowthModel.kpp())
+        lower_amplitude(2.5, 1.0, 0.6, up, Kernel.dirac(), GrowthModel.kpp())
 
 
 # ------------------------------------------------------------- the iteration
