@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -32,7 +33,7 @@ from .models import (
     params_from_json,
     params_to_json,
 )
-from .profiles import Profile, fmt_float, write_csv
+from .profiles import Profile, fmt_float, format_rows, write_csv
 
 
 @dataclass
@@ -40,8 +41,11 @@ class RunManifest:
     command: str
     params: dict
     outputs: list = field(default_factory=list)
-    versions: dict = field(default_factory=lambda: {"kolwave": __version__, "schema": "1"})
+    versions: dict = field(default_factory=lambda: {
+        "kolwave": __version__, "schema": "1",
+        "python": platform.python_version(), "numpy": np.__version__})
     wall_time: float = 0.0
+    error: str | None = None  # class name of the failure of a run that exits 2 or 3
 
     def write(self, out_dir: Path) -> None:
         path = out_dir / f"{self.command}.manifest.json"
@@ -84,7 +88,7 @@ def write_svg(path: Path, curves, level: float | None = None,
         ok = np.isfinite(vs)
         xs = _svg_map(ts[ok], t_lo, t_hi, width, margin)
         ys = height - _svg_map(vs[ok], v_lo, v_hi, height, margin)
-        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
+        pts = format_rows("%.3f,%.3f", np.column_stack((xs, ys)), sep=" ")
         color = palette[i % len(palette)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"><title>{name}</title></polyline>')
@@ -412,16 +416,18 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=args.command,
                            params={k: v for k, v in sorted(vars(args).items())
-                                   if k not in ("fn",)})
+                                   if k not in ("fn", "out")})
     t0 = time.perf_counter()
     code = 0
     try:
         code = args.fn(args, out, manifest)
     except (PreconditionError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        manifest.error = type(exc).__name__
         code = 2
     except KolwaveError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        manifest.error = type(exc).__name__
         code = 3
     finally:
         manifest.wall_time = time.perf_counter() - t0

@@ -94,7 +94,7 @@ def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol,
             else:
                 extrema.append(ev.time)
         probe = np.linspace(t_lo, composite.t_end, 257)
-        if max(abs(float(composite(t)[0]) - level) for t in probe) < cap_eps:
+        if np.max(np.abs(composite.sample(probe)[:, 0] - level)) < cap_eps:
             captured = True
         t_lo = composite.t_end
     return composite, crossings, extrema, captured
@@ -105,7 +105,7 @@ def _sample_profile(composite, t_end, tau, crossings, h, flags, amplitude,
     dt = max(t_end / 20000.0, min(tau / 64.0, 0.05))
     n = int(t_end / dt) + 1
     ts = np.linspace(0.0, t_end, n)
-    values = np.array([float(composite(t)[0]) for t in ts])
+    values = composite.sample(ts)[:, 0]
     return build_profile(
         ts, values, crossings=crossings, h=h, flags=flags,
         amplitude=amplitude,

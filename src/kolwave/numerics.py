@@ -9,6 +9,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -170,7 +171,19 @@ class Trajectory:
                               self.fs[i], self.fs[i + 1])
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self(t) for t in ts])
+        """`__call__` at every point of ts, as one array operation with the
+        same float operations, so each row equals the scalar read bitwise."""
+        t = np.asarray(ts, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
+        t0, t1 = self.ts[i], self.ts[i + 1]
+        out = _hermite(t[:, None], t0[:, None], t1[:, None], self.ys[i], self.ys[i + 1],
+                       self.fs[i], self.fs[i + 1])
+        # __call__'s overrides, lowest precedence first
+        on_node = t == t0
+        out[on_node] = self.ys[i[on_node]]
+        out[t >= self.ts[-1]] = self.ys[-1]
+        out[t <= self.ts[0]] = self.ys[0]
+        return out
 
 
 # Dormand-Prince 5(4) tableau; the 5th-order result propagates (FSAL).
@@ -362,21 +375,36 @@ class DdeTrajectory:
         self.history = history
         self.history_deriv = history_deriv
         self.segments: list[Trajectory] = segments
+        self.seg_ends = [seg.t_end for seg in segments]
 
     @property
     def t_end(self) -> float:
         return self.segments[-1].t_end
 
     def _locate(self, t: float) -> Trajectory:
-        for seg in self.segments:
-            if t <= seg.t_end:
-                return seg
-        return self.segments[-1]
+        """The first segment ending at or after t, else the last."""
+        return self.segments[min(bisect.bisect_left(self.seg_ends, t), len(self.segments) - 1)]
 
     def __call__(self, t: float) -> np.ndarray:
         if t <= self.t_start:
             return np.atleast_1d(np.asarray(self.history(t), dtype=float))
         return self._locate(t)(t)
+
+    def sample(self, ts: Sequence[float]) -> np.ndarray:
+        """`__call__` at every point of ts: one `Trajectory.sample` per
+        segment, picked by `_locate`'s rule, and the history at or before
+        t_start."""
+        t = np.asarray(ts, dtype=float)
+        k = np.minimum(np.searchsorted(self.seg_ends, t, side="left"), len(self.segments) - 1)
+        k[t <= self.t_start] = -1
+        out = np.empty((len(t), self.segments[0].ys.shape[1]))
+        for j, seg in enumerate(self.segments):
+            sel = k == j
+            if sel.any():
+                out[sel] = seg.sample(t[sel])
+        for n in np.flatnonzero(k < 0):
+            out[n] = self(t[n])
+        return out
 
     def derivative(self, t: float) -> np.ndarray:
         if t <= self.t_start:

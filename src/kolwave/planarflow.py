@@ -214,9 +214,7 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol,
 
     cross_times = [ev.time for ev in evs if ev.kind == "level-crossing" and ev.time <= t_end]
     extrema = [ev.time for ev in evs if ev.kind == "derivative-sign-change" and ev.time <= t_end]
-    phi_max = float(phi.max())
-    for te in extrema:
-        phi_max = max(phi_max, float(traj(te)[0]))
+    phi_max = float(max([phi.max(), *traj.sample(extrema)[:, 0]]))
 
     sig = tuple(significant_crossings(ts, phi, cross_times))
     shape = classify_shape(ts, phi, cross_times)

@@ -25,6 +25,7 @@ __all__ = [
     "significant_crossings",
     "fit_decay",
     "fmt_float",
+    "format_rows",
     "write_csv",
 ]
 
@@ -36,16 +37,27 @@ OVERSHOOT_EPS = 1e-6  # relative excursion above 1 that counts as genuine
 
 
 def fmt_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+    return format(float(x), ".17g")  # any NaN, signed or not, prints as "nan"
+
+
+_BLOCK_ROWS = 1024  # rows per %-operation: bounds the float objects alive at once
+
+
+def format_rows(template: str, table, sep: str = "") -> str:
+    """Every row of a 2-D float table %-formatted with `template`, joined by
+    `sep`.  %-formatting and format() share one float formatter, so a value
+    prints as format() prints it."""
+    table = np.asarray(table, dtype=float)
+    blocks = (table[lo:lo + _BLOCK_ROWS] for lo in range(0, len(table), _BLOCK_ROWS))
+    return sep.join(sep.join([template] * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Header line, then one line per row of the table `rows` (a 2-D array
+    or a list of equal-length rows), each value as fmt_float renders it."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    Path(path).write_text(",".join(header) + "\n" + format_rows(line, table))
 
 
 def significant_crossings(ts, values, crossings, level: float = 1.0,
@@ -177,7 +189,7 @@ class Profile:
         return float(np.max(np.abs(a(ts) - b(ts))))
 
     def to_csv(self, path: Path | str) -> None:
-        write_csv(path, ("t", "phi"), zip(self.ts, self.values))
+        write_csv(path, ("t", "phi"), np.column_stack((self.ts, self.values)))
 
     def sidecar(self) -> dict:
         return {
@@ -207,7 +219,7 @@ class RegionCurve:
             yield [col[i] for col in cols]
 
     def to_csv(self, path: Path | str) -> None:
-        write_csv(path, self.header(), self.rows())
+        write_csv(path, self.header(), list(self.rows()))
 
 
 def build_profile(ts: np.ndarray, values: np.ndarray, *,

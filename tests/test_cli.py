@@ -200,3 +200,45 @@ def test_weak_and_finite_profile_commands(tmp_path):
                  "--out", str(d2)]) == 0
     doc = json.loads((d2 / "phi.json").read_text())
     assert doc["sup"] > 1.0
+
+
+def _manifest(tmp_path, command):
+    return json.loads((tmp_path / f"{command}.manifest.json").read_text())
+
+
+def test_manifest_records_python_and_numpy_versions(tmp_path):
+    import platform
+
+    import numpy as np
+
+    assert run(tmp_path, "overshoot", "--gamma", "2", "--tau", "1") == 0
+    versions = _manifest(tmp_path, "overshoot")["versions"]
+    assert versions["python"] == platform.python_version()
+    assert versions["numpy"] == np.__version__
+
+
+def test_manifest_params_leave_out_the_output_path(tmp_path):
+    assert run(tmp_path, "overshoot", "--gamma", "2", "--tau", "1") == 0
+    params = _manifest(tmp_path, "overshoot")["params"]
+    assert "out" not in params
+    assert params["gamma"] == 2.0
+    assert str(tmp_path) not in (tmp_path / "overshoot.manifest.json").read_text()
+
+
+def test_manifest_records_the_error_class(tmp_path):
+    assert run(tmp_path / "ok", "overshoot", "--gamma", "2", "--tau", "1") == 0
+    assert _manifest(tmp_path / "ok", "overshoot")["error"] is None
+    assert run(tmp_path / "two", "overshoot", "--gamma", "0", "--tau", "1") == 2
+    assert _manifest(tmp_path / "two", "overshoot")["error"] == "UnsupportedError"
+
+    from kolwave.models import GrowthModel, Kernel, WaveParams
+    from kolwave.semiwavefront import config_to_json, default_config
+
+    config, _ = default_config(WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5), dt=0.05)
+    doc = config_to_json(config)
+    doc["b"] = 1e-3  # too weak a shift: the first sweep leaves the sandwich
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    three = tmp_path / "three"
+    assert run(three, "iterate", "--preset", "kpp", "--c", "2.5", "--config", str(cfg_path)) == 3
+    assert _manifest(three, "iterate")["error"] == "InvarianceBreachError"

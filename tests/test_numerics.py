@@ -195,6 +195,81 @@ def test_dde_rejects_nonpositive_lag():
         integrate_dde(lambda t, y, lag: -lag.value, 0.0, lambda t: [1.0], (0.0, 1.0))
 
 
+def _hermite_oracle(traj, t):
+    """Trajectory.__call__ spelled out: node values at and beyond the ends
+    and on nodes, else the cubic Hermite in this exact float-operation
+    order (the order every byte-compared output depends on)."""
+    ts, ys, fs = traj.ts, traj.ys, traj.fs
+    if t <= ts[0]:
+        return ys[0]
+    if t >= ts[-1]:
+        return ys[-1]
+    i = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
+    if t == ts[i]:
+        return ys[i]
+    h = ts[i + 1] - ts[i]
+    th = (t - ts[i]) / h
+    th2 = th * th
+    th3 = th2 * th
+    return ((2 * th3 - 3 * th2 + 1) * ys[i] + (th3 - 2 * th2 + th) * h * fs[i]
+            + (-2 * th3 + 3 * th2) * ys[i + 1] + (th3 - th2) * h * fs[i + 1])
+
+
+def _probe_points(ts, lo, hi, rng):
+    """Every node, its neighbouring floats, the midpoints, both ends, points
+    outside [lo, hi] and random interior points."""
+    return np.concatenate([
+        ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf),
+        0.5 * (ts[:-1] + ts[1:]),
+        [lo, hi, lo - 1.0, hi + 1.0, lo - 1e-9, hi + 1e-9],
+        rng.uniform(lo, hi, 2000),
+    ])
+
+
+def test_trajectory_sample_equals_scalar_reads_bitwise():
+    def field(t, y):
+        return np.array([y[1], -y[0] - 0.3 * y[1] + 0.5 * math.sin(t)])
+
+    traj, _ = integrate_ode(field, [1.0, 0.0], (0.0, 20.0), tol=1e-9)
+    ts = _probe_points(traj.ts, traj.t0, traj.t_end, np.random.default_rng(7))
+    scalar = np.array([traj(t) for t in ts])
+    assert scalar.shape == (len(ts), 2)
+    assert np.array_equal(traj.sample(ts), scalar)
+    assert np.array_equal(scalar, np.array([_hermite_oracle(traj, t) for t in ts]))
+    assert traj.sample([]).shape == (0, 2)
+
+
+def test_dde_sample_equals_scalar_reads_bitwise():
+    tau = 2 * math.pi
+
+    def field(t, y, lag):
+        return np.array([lag.value[1], -lag.value[0]])
+
+    kwargs = dict(tol=1e-9,
+                  history_deriv=lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    history = lambda t: np.array([math.cos(t), -math.sin(t)])
+    traj = None
+    for lo, hi in ((0.0, 5.0), (5.0, 11.0), (11.0, 20.0)):
+        lo = traj.t_end if traj is not None else lo
+        traj, _ = integrate_dde(field, tau, history, (lo, hi), prior=traj, **kwargs)
+    assert len(traj.segments) == 3
+    nodes = np.concatenate([seg.ts for seg in traj.segments])
+    ts = _probe_points(nodes, traj.t_start, traj.t_end, np.random.default_rng(11))
+    ts = np.concatenate([ts, traj.seg_ends, [-3.0, -1e-12]])
+    scalar = np.array([traj(t) for t in ts])
+    assert np.array_equal(traj.sample(ts), scalar)
+
+    # the segment rule: the first segment ending at or after t, else the last
+    def first_ending_after(t):
+        return next((seg for seg in traj.segments if t <= seg.t_end), traj.segments[-1])
+
+    for t in ts:
+        if t > traj.t_start:
+            assert np.array_equal(traj(t), _hermite_oracle(first_ending_after(t), t))
+        else:
+            assert np.array_equal(traj(t), history(t))
+
+
 def test_find_root_identity():
     assert find_root(lambda z: z, (-1.0, 1.0), 1e-14) == pytest.approx(0.0, abs=1e-13)
 
