@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -25,15 +26,10 @@ import numpy as np
 from . import __version__
 from . import discretedelay, planarflow, semiwavefront, spectral
 from .errors import KolwaveError, PreconditionError, UnsupportedError
-from .models import (
-    GrowthModel,
-    Kernel,
-    WaveParams,
-    json_field,
-    params_from_json,
-    params_to_json,
-)
+from .models import WaveParams, params_from_json, params_to_json
 from .profiles import Profile, fmt_float, format_rows, write_csv
+
+SVG_WIDTH, SVG_HEIGHT = 800, 400
 
 
 @dataclass
@@ -57,10 +53,10 @@ def _svg_map(vals, lo, hi, size, margin):
     return margin + (np.asarray(vals) - lo) * (size - 2 * margin) / span
 
 
-def write_svg(path: Path, curves, level: float | None = None,
-              width: int = 800, height: int = 400) -> None:
+def write_svg(path: Path, curves, level: float | None = None) -> None:
     """Minimal deterministic SVG: one polyline per named curve plus an
     optional horizontal rule at `level`."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     margin = 20.0
     all_t = np.concatenate([np.asarray(ts) for _, ts, _ in curves])
     all_v = np.concatenate([np.asarray(vs) for _, _, vs in curves])
@@ -114,42 +110,34 @@ def _profile_outputs(out: Path, stem: str, profile: Profile, manifest: RunManife
     manifest.outputs += [csv_path.name, json_path.name, svg_path.name]
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PreconditionError(f"cannot read {what}: {exc}") from exc
+
+
+_GROWTH_KINDS = {"food": "food-limited", "quad": "quadratic", "kpp": "kpp"}
+_KERNEL_KINDS = {"dirac": "dirac-spatial", "discrete": "discrete-delay", "weak": "weak-generic"}
+
+
 def _build_params(args) -> WaveParams:
-    if getattr(args, "json", None):
-        try:
-            doc = json.loads(Path(args.json).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PreconditionError(f"cannot read model JSON: {exc}") from exc
-        return params_from_json(doc)
-    if getattr(args, "preset", None) == "kpp":
-        return WaveParams(GrowthModel.kpp(), Kernel.dirac(), args.c)
-
-    model = getattr(args, "model", "food")
-    if model == "food":
-        growth = GrowthModel.food_limited(args.gamma)
-    elif model == "quad":
-        growth = GrowthModel.quadratic(args.a, args.b)
-    elif model == "kpp":
-        growth = GrowthModel.kpp()
+    """The model of `--json`, or else the model document the flags (and a
+    `table:FILE` kernel's {"s", "density"} object) describe, both read by
+    params_from_json."""
+    if args.json:
+        return params_from_json(_read_json(args.json, "model JSON"))
+    if args.kernel.startswith("table:"):
+        kernel = _read_json(args.kernel[6:], "kernel table")
+        if not isinstance(kernel, dict):
+            raise PreconditionError("kernel table must be a JSON object")
+        kernel = {**kernel, "kind": "tabulated-N"}
+    elif args.kernel in _KERNEL_KINDS:
+        kernel = {"kind": _KERNEL_KINDS[args.kernel], "tau": args.tau}
     else:
-        raise PreconditionError(f"unknown growth model {model!r}")
-
-    kspec = getattr(args, "kernel", "dirac")
-    if kspec == "dirac":
-        kernel = Kernel.dirac()
-    elif kspec == "discrete":
-        kernel = Kernel.discrete(args.tau)
-    elif kspec == "weak":
-        kernel = Kernel.weak(args.tau)
-    elif kspec.startswith("table:"):
-        try:
-            doc = json.loads(Path(kspec[6:]).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PreconditionError(f"cannot read kernel table: {exc}") from exc
-        kernel = Kernel.tabulated(json_field(doc, "s", list), json_field(doc, "density", list))
-    else:
-        raise PreconditionError(f"unknown kernel {kspec!r}")
-    return WaveParams(growth, kernel, args.c)
+        raise PreconditionError(f"unknown kernel {args.kernel!r}")
+    growth = {"kind": _GROWTH_KINDS[args.model], "gamma": args.gamma, "a": args.a, "b": args.b}
+    return params_from_json({"growth": growth, "kernel": kernel, "c": args.c})
 
 
 # ----------------------------------------------------------------- commands
@@ -176,11 +164,8 @@ def cmd_roots(args, out: Path, manifest: RunManifest) -> int:
 
 
 def cmd_heteroclinic(args, out: Path, manifest: RunManifest) -> int:
-    if args.eps > 0:
-        res = planarflow.finite_speed_profile(args.gamma, args.tau, args.eps,
-                                              args.amplitude, args.tol)
-    else:
-        res = planarflow.heteroclinic(args.gamma, args.tau, args.amplitude, args.tol)
+    res = planarflow.finite_speed_profile(args.gamma, args.tau, args.eps,
+                                          args.amplitude, args.tol)
     extra = {
         "phi_max": res.phi_max,
         "entry_direction": [float(v) for v in res.entry_direction],
@@ -196,11 +181,8 @@ def cmd_heteroclinic(args, out: Path, manifest: RunManifest) -> int:
 
 
 def cmd_limit_profile(args, out: Path, manifest: RunManifest) -> int:
-    if args.eps > 0:
-        prof = discretedelay.finite_speed_profile(args.gamma, args.tau, args.eps,
-                                                  args.span, args.tol)
-    else:
-        prof = discretedelay.limit_profile(args.gamma, args.tau, args.span, args.tol)
+    prof = discretedelay.finite_speed_profile(args.gamma, args.tau, args.eps,
+                                              args.span, args.tol)
     _profile_outputs(out, "phi", prof, manifest)
     print(f"shape={prof.shape} sup={prof.sup:.6f}")
     return 0
@@ -231,10 +213,14 @@ def _parse_range(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise PreconditionError(f"range must be START:STOP:STEP, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise PreconditionError(f"range needs finite numbers, got {spec!r}")
     if step <= 0 or stop < start:
         raise PreconditionError("range needs step > 0 and stop >= start")
-    n = int((stop - start) / step + 1e-9) + 1
-    return start + step * np.arange(n)
+    steps = (stop - start) / step + 1e-9
+    if not math.isfinite(steps):
+        raise PreconditionError(f"range has no finite number of points, got {spec!r}")
+    return start + step * np.arange(int(steps) + 1)
 
 
 def cmd_region(args, out: Path, manifest: RunManifest) -> int:
@@ -256,12 +242,8 @@ def cmd_region(args, out: Path, manifest: RunManifest) -> int:
 
 
 def _iteration_config(args, params):
-    if getattr(args, "config", None):
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PreconditionError(f"cannot read iteration config: {exc}") from exc
-        return semiwavefront.config_from_json(doc)
+    if args.config:
+        return semiwavefront.config_from_json(_read_json(args.config, "iteration config"))
     return semiwavefront.default_config(params, dt=args.dt, tol=args.tol)[0]
 
 
@@ -305,19 +287,26 @@ def cmd_check_asymptotics(args, out: Path, manifest: RunManifest) -> int:
     return 0
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="food", choices=("food", "quad", "kpp"))
     p.add_argument("--kernel", default="dirac",
                    help="dirac | discrete | weak | table:FILE")
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=2.5)
-    p.add_argument("--preset", choices=("kpp",))
+    p.add_argument("--gamma", type=finite_float, default=0.0)
+    p.add_argument("--tau", type=finite_float, default=1.0)
+    p.add_argument("--a", type=finite_float, default=1.0)
+    p.add_argument("--b", type=finite_float, default=0.0)
+    p.add_argument("--c", type=finite_float, default=2.5)
     p.add_argument("--json", help="model JSON file; overrides the flags")
     p.add_argument("--config", help="iteration-config JSON file; overrides --dt/--tol")
-    p.add_argument("--dt", type=float, default=0.02)
+    p.add_argument("--dt", type=finite_float, default=0.02)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,58 +319,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol):
         p.add_argument("--out", default="out")
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=finite_float, default=tol)
 
     p = sub.add_parser("roots", help="characteristic roots at the positive state")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
     p.add_argument("--kernel", default="discrete", choices=("discrete", "weak"))
-    p.add_argument("--c", type=float, default=1e6)
+    p.add_argument("--c", type=finite_float, default=1e6)
     common(p, 1e-10)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("heteroclinic", help="planar kinetics connection")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--amplitude", type=float, default=1e-6)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
+    p.add_argument("--amplitude", type=finite_float, default=1e-6)
     common(p, 1e-7)
-    p.set_defaults(fn=cmd_heteroclinic)
+    p.set_defaults(fn=cmd_heteroclinic, eps=0.0)  # weak-profile at infinite speed
 
     p = sub.add_parser("weak-profile", help="finite-speed weak-kernel wave profile")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--amplitude", type=float, default=1e-6)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
+    p.add_argument("--eps", type=finite_float, required=True)
+    p.add_argument("--amplitude", type=finite_float, default=1e-6)
     common(p, 1e-7)
     p.set_defaults(fn=cmd_heteroclinic)
 
     p = sub.add_parser("limit-profile", help="infinite-speed delayed kinetics profile")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--span", type=float, default=400.0)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
+    p.add_argument("--span", type=finite_float, default=400.0)
     common(p, 1e-10)
-    p.set_defaults(fn=cmd_limit_profile)
+    p.set_defaults(fn=cmd_limit_profile, eps=0.0)  # finite-profile at infinite speed
 
     p = sub.add_parser("finite-profile", help="finite-speed delayed wave profile")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--span", type=float, default=400.0)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
+    p.add_argument("--eps", type=finite_float, required=True)
+    p.add_argument("--span", type=finite_float, default=400.0)
     common(p, 1e-10)
     p.set_defaults(fn=cmd_limit_profile)
 
     p = sub.add_parser("overshoot", help="closed-form overshoot lower bound")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
     common(p, 1e-10)
     p.set_defaults(fn=cmd_overshoot)
 
     p = sub.add_parser("test-function", help="cubic comparison-arc certificate")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--gamma", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
+    p.add_argument("--a", type=finite_float, required=True)
     common(p, 1e-10)
     p.set_defaults(fn=cmd_test_function)
 

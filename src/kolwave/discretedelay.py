@@ -49,13 +49,17 @@ __all__ = [
     "crossings_from_samples",
 ]
 
+_AMPLITUDE = 1e-6  # size of the launch history at t = 0
+_EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
 
-def crossings_from_samples(ts, values, level: float = 1.0) -> list[float]:
+
+def crossings_from_samples(ts, values) -> list[float]:
+    """Times where the sampled profile crosses the level 1, interpolated."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     out = []
     for i in range(len(ts) - 1):
-        v0, v1 = values[i] - level, values[i + 1] - level
+        v0, v1 = values[i] - 1.0, values[i + 1] - 1.0
         if v0 == 0.0:
             out.append(float(ts[i]))
         elif (v0 < 0) != (v1 < 0):
@@ -68,13 +72,12 @@ def _history_rate(tau: float) -> float:
     return find_root(lambda r: r - math.exp(-r * tau), (1e-12, 1.0 + 1e-9), 1e-14)
 
 
-def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol,
-                        cap_eps, level=1.0):
+def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol, cap_eps):
     """Chunked method-of-steps run until the solution settles within cap_eps
-    of `level` over a whole chunk, or the span is exhausted."""
+    of 1 over a whole chunk, or the span is exhausted."""
     chunk = max(5.0 * tau, 10.0)
     events = [
-        EventSpec("level-crossing", index=0, level=level),
+        EventSpec("level-crossing", index=0, level=1.0),
         EventSpec("derivative-sign-change", index=0),
     ]
     t_lo = 0.0
@@ -94,27 +97,30 @@ def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol,
             else:
                 extrema.append(ev.time)
         probe = np.linspace(t_lo, composite.t_end, 257)
-        if np.max(np.abs(composite.sample(probe)[:, 0] - level)) < cap_eps:
+        if np.max(np.abs(composite.sample(probe)[:, 0] - 1.0)) < cap_eps:
             captured = True
         t_lo = composite.t_end
     return composite, crossings, extrema, captured
 
 
-def _sample_profile(composite, t_end, tau, crossings, h, flags, amplitude,
-                    cap_eps):
+def _sample_profile(composite, tau, crossings, captured, cap_eps) -> Profile:
+    """The run sampled on a uniform grid up to its end, with lag window tau;
+    a run that never settled is flagged "unresolved-tail"."""
+    t_end = composite.t_end
     dt = max(t_end / 20000.0, min(tau / 64.0, 0.05))
     n = int(t_end / dt) + 1
     ts = np.linspace(0.0, t_end, n)
     values = composite.sample(ts)[:, 0]
     return build_profile(
-        ts, values, crossings=crossings, h=h, flags=flags,
-        amplitude=amplitude,
+        ts, values, crossings=crossings, h=tau,
+        flags=() if captured else ("unresolved-tail",),
+        amplitude=_AMPLITUDE,
         plus_window=(max(30.0 * cap_eps, 1e-8), 1e-3),
     )
 
 
 def limit_profile(gamma: float, tau: float, span_length: float = 400.0,
-                  tol: float = 1e-10, amplitude: float = 1e-6) -> Profile:
+                  tol: float = 1e-10) -> Profile:
     """Connection from 0 to 1 of the limit kinetics, launched from a small
     exponential history and integrated until capture at 1.
 
@@ -130,24 +136,21 @@ def limit_profile(gamma: float, tau: float, span_length: float = 400.0,
     cap_eps = max(10.0 * tol, 1e-9)
 
     def history(t):
-        return np.array([amplitude * math.exp(rate * t)])
+        return np.array([_AMPLITUDE * math.exp(rate * t)])
 
     def history_deriv(t):
-        return np.array([rate * amplitude * math.exp(rate * t)])
+        return np.array([rate * _AMPLITUDE * math.exp(rate * t)])
 
     def field(t, y, lag):
         return np.array([y[0] * growth.g(lag.value[0])])
 
     composite, crossings, _, captured = _integrate_kinetics(
         field, tau, history, history_deriv, span_length, tol, cap_eps)
-    flags = () if captured else ("unresolved-tail",)
-    return _sample_profile(composite, composite.t_end, tau, crossings, tau,
-                           flags, amplitude, cap_eps)
+    return _sample_profile(composite, tau, crossings, captured, cap_eps)
 
 
 def finite_speed_profile(gamma: float, tau: float, eps: float,
-                         span_length: float = 400.0, tol: float = 1e-10,
-                         amplitude: float = 1e-6, eps_max: float = 0.2) -> Profile:
+                         span_length: float = 400.0, tol: float = 1e-10) -> Profile:
     """Finite-speed wave profile of the discrete-delay model, eps = 1/c^2,
     by shooting on the slow manifold of the second-order delayed equation.
 
@@ -157,9 +160,9 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
     from the stored dense output.  At eps = 0 this is the limit kinetics.
     """
     if eps == 0.0:
-        return limit_profile(gamma, tau, span_length, tol, amplitude)
-    if not (0.0 < eps <= eps_max):
-        raise PreconditionError(f"eps must lie in (0, {eps_max}]")
+        return limit_profile(gamma, tau, span_length, tol)
+    if not (0.0 < eps <= _EPS_MAX):
+        raise PreconditionError(f"eps must lie in (0, {_EPS_MAX}]")
     if gamma < 0 or not tau > 0:
         raise PreconditionError("need gamma >= 0 and tau > 0")
     growth = GrowthModel.food_limited(gamma)
@@ -167,10 +170,10 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
     cap_eps = max(10.0 * tol, 1e-9)
 
     def history(t):
-        return np.array([amplitude * math.exp(lam * t)])
+        return np.array([_AMPLITUDE * math.exp(lam * t)])
 
     def history_deriv(t):
-        return np.array([lam * amplitude * math.exp(lam * t)])
+        return np.array([lam * _AMPLITUDE * math.exp(lam * t)])
 
     def field(t, y, lag):
         g = growth.g(lag.value[0])
@@ -187,9 +190,7 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
         raise StiffShootingError(
             f"slow-manifold shooting failed at eps={eps}; "
             f"try smaller eps or tighter tol ({exc})") from exc
-    flags = () if captured else ("unresolved-tail",)
-    return _sample_profile(composite, composite.t_end, tau, crossings, tau,
-                           flags, amplitude, cap_eps)
+    return _sample_profile(composite, tau, crossings, captured, cap_eps)
 
 
 def overshoot_bound(gamma: float, tau: float) -> float:
@@ -337,34 +338,33 @@ class OscillationReport:
                     and self.single_extremum_ok)
 
 
-def _extrema_times(ts, values, level, eps):
-    """Sample-level extrema whose deviation from `level` exceeds eps/2
+def _extrema_times(ts, values):
+    """Sample-level extrema whose deviation from 1 exceeds OVERSHOOT_EPS/2
     (prunes integrator wiggle right at the crossings)."""
     d = np.diff(values)
     out = []
     for i in range(len(d) - 1):
         if (d[i] > 0) != (d[i + 1] > 0):
-            if abs(values[i + 1] - level) > 0.5 * eps:
+            if abs(values[i + 1] - 1.0) > 0.5 * OVERSHOOT_EPS:
                 out.append(float(ts[i + 1]))
     return out
 
 
-def classify_oscillation(profile: Profile, h: float, level: float = 1.0,
-                         eps: float = OVERSHOOT_EPS) -> OscillationReport:
-    """Shape of a profile around the positive state with slow-oscillation
+def classify_oscillation(profile: Profile, h: float) -> OscillationReport:
+    """Shape of a profile around the positive state 1 with slow-oscillation
     certificate: two or more genuine level crossings make it oscillating,
     certified slow when every window of length h contains at most two
     crossings (Q_{j+2} - Q_j >= h) and exactly one critical point separates
     consecutive crossings."""
     ts, vs = profile.ts, profile.values
-    cross = list(profile.crossings) or crossings_from_samples(ts, vs, level)
-    sig = significant_crossings(ts, vs, cross, level, eps)
+    cross = list(profile.crossings) or crossings_from_samples(ts, vs)
+    sig = significant_crossings(ts, vs, cross)
     inconclusive = "unresolved-tail" in profile.flags
 
     tail_start = sig[-1] if sig else ts[0]
     tail = vs[ts >= tail_start]
-    dist = np.abs(tail - level)
-    drops = np.diff(dist) <= max(1e-12, eps * 1e-3)
+    dist = np.abs(tail - 1.0)
+    drops = np.diff(dist) <= max(1e-12, OVERSHOOT_EPS * 1e-3)
     eventually_monotone = bool(len(dist) > 4 and np.all(drops[len(drops) // 2:]))
 
     if len(sig) >= 2:
@@ -372,7 +372,7 @@ def classify_oscillation(profile: Profile, h: float, level: float = 1.0,
         single_ok = True
         for q0, q1 in zip(sig[:-1], sig[1:]):
             inner = (ts > q0) & (ts < q1)
-            n_ext = len(_extrema_times(ts[inner], vs[inner], level, eps))
+            n_ext = len(_extrema_times(ts[inner], vs[inner]))
             if n_ext != 1:
                 single_ok = False
                 break
@@ -383,7 +383,7 @@ def classify_oscillation(profile: Profile, h: float, level: float = 1.0,
         )
 
     sup = float(np.max(vs))
-    shape = NON_MONOTONE if sup > level * (1.0 + eps) else MONOTONE
+    shape = NON_MONOTONE if sup > 1.0 + OVERSHOOT_EPS else MONOTONE
     return OscillationReport(
         shape=shape, eventually_monotone=eventually_monotone,
         inconclusive=inconclusive, crossings=tuple(sig),

@@ -109,15 +109,15 @@ class GrowthModel:
     def has_allee(self) -> bool:
         return self.gstar > self.g0 + 1e-14
 
-    def minorant_slope(self, u_max: float, n: int = 2000) -> float:
-        """Smallest grid-valid p >= G(0) with G(u) >= G(0) - p*u on [0, u_max].
+    def minorant_slope(self, u_max: float) -> float:
+        """Smallest p >= G(0) with G(u) >= G(0) - p*u on [0, u_max].
 
-        The chord slope (G(0) - G(u))/u peaks at u -> 0 for concave laws, so
-        -G'(0) anchors the grid maximum.
+        The chord slope (G(0) - G(u))/u is monotone in u for every kind (it
+        falls for food-limited, is constant for kpp and rises for quadratic),
+        so its supremum is at an end: -G'(0) as u -> 0, or the chord to u_max.
         """
-        us = np.linspace(u_max / n, u_max, n)
-        slopes = (self.g0 - self.g(us)) / us
-        p = max(self.g0, -float(self.g_prime(0.0)), float(slopes.max()))
+        chord = (self.g0 - self.g(u_max)) / u_max
+        p = max(self.g0, -float(self.g_prime(0.0)), chord)
         return p * (1.0 + 1e-12) + 1e-15
 
 
@@ -342,7 +342,10 @@ class EffectiveKernel:
         return int(lo), wts / total
 
 
-def _weak_density(s: float, c: float, tau: float, tol: float) -> float:
+_WEAK_QUAD_TOL = 1e-9  # quadrature tolerance of each weak-kernel density sample
+
+
+def _weak_density(s: float, c: float, tau: float) -> float:
     """Pointwise projected density of the weak-generic kernel via the
     v-integral (v = w**2 substitution removes the endpoint singularity)."""
     pref = 1.0 / (tau * math.sqrt(math.pi))
@@ -356,11 +359,11 @@ def _weak_density(s: float, c: float, tau: float, tol: float) -> float:
         return pref * math.exp(expo)
 
     w_max = math.sqrt(max(40.0 * tau, 40.0 / a, (abs(s) + 40.0) / max(c, 1e-6)))
-    return quad_adaptive(integrand, (0.0, w_max), tol)
+    return quad_adaptive(integrand, (0.0, w_max), _WEAK_QUAD_TOL)
 
 
 @lru_cache(maxsize=32)
-def _weak_table(tau: float, c: float, tol: float) -> tuple:
+def _weak_table(tau: float, c: float) -> tuple:
     half = math.sqrt(c * c / 4.0 + 1.0 / tau)
     rate_right = half - c / 2.0
     rate_left = half + c / 2.0
@@ -370,11 +373,11 @@ def _weak_table(tau: float, c: float, tol: float) -> tuple:
     scale = min(1.0 / rate_right, 1.0 / rate_left)
     n = int(min(4001, max(1201, round((t_right - t_left) / (scale / 30.0)))))
     s = np.linspace(t_left, t_right, n)
-    w = np.array([_weak_density(float(x), c, tau, tol * 1e-1) for x in s])
+    w = np.array([_weak_density(float(x), c, tau) for x in s])
     return tuple(s), tuple(w)
 
 
-def effective_kernel(kernel: Kernel, c: float, tol: float = 1e-8) -> EffectiveKernel:
+def effective_kernel(kernel: Kernel, c: float) -> EffectiveKernel:
     """N_c laid out for the convolution comb.
 
     Point-mass kernels project to point masses and tables to themselves; the
@@ -387,7 +390,7 @@ def effective_kernel(kernel: Kernel, c: float, tol: float = 1e-8) -> EffectiveKe
         return EffectiveKernel(s=np.array(kernel.table_s), w=np.array(kernel.table_w))
     if not c > 0:
         raise PreconditionError("weak-generic projection needs c > 0")
-    s, w = _weak_table(kernel.tau, float(c), float(tol))
+    s, w = _weak_table(kernel.tau, float(c))
     return EffectiveKernel(s=np.array(s), w=np.array(w))
 
 
@@ -424,22 +427,35 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def json_field(doc: dict, key: str, kind: type = float, default=None):
     """doc[key] as a float, an int, an object (dict) or a list of numbers; a
-    field that is missing (and has no default) or holds another type raises
+    field that is missing (and has no default), holds another type or holds
+    a non-finite number (json.loads reads NaN and Infinity) raises
     PreconditionError naming it."""
     if not isinstance(doc, dict) or key not in doc:
         if default is None:
             raise PreconditionError(f"JSON field {key!r} is missing")
         return default
     value = doc[key]
-    if kind in (float, int) and _is_number(value):
-        return kind(value)
-    if (kind is dict and isinstance(value, dict)
-            or kind is list and isinstance(value, list) and all(map(_is_number, value))):
-        return value
-    raise PreconditionError(f"JSON field {key!r} must be {_JSON_KINDS[kind]}, "
-                            f"not {type(value).__name__}")
+    if kind is dict:
+        ok = isinstance(value, dict)
+    elif kind is list:
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    else:
+        ok = _is_number(value)
+    if not ok:
+        raise PreconditionError(f"JSON field {key!r} must be {_JSON_KINDS[kind]}, "
+                                f"not {type(value).__name__}")
+    if kind is not dict and not all(map(_is_finite, value if kind is list else [value])):
+        raise PreconditionError(f"JSON field {key!r} holds a non-finite number")
+    return kind(value) if kind in (float, int) else value
 
 
 def growth_from_json(doc: dict) -> GrowthModel:

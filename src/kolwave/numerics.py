@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
+_MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
 
 
 @dataclass(frozen=True)
@@ -280,16 +281,15 @@ def _scan_events(events, gauges, g_prev, found, seg_eval, t, t_new, y_new):
     return first_terminal
 
 
-def _march(attempt, field, ts, ys, fs, t1, h, events, max_steps,
-           max_step=math.inf, breakpoints=()):
+def _march(attempt, field, ts, ys, fs, t1, h, events, breakpoints=()):
     """The adaptive stepping loop shared by both integrators.
 
     Extends the accepted nodes `ts`, `ys`, `fs` (field values) in place up to
     t1 or a terminal event, and returns the time-sorted events.
     `attempt(t, y, f, h)` makes one trial step and returns what `_dp_step`
     does, with err None when the step must be halved.
-    Steps are clipped to max_step, t1 and the next breakpoint; a step that
-    would leave a sliver shorter than the step floor before t1 ends at t1.
+    Steps are clipped to t1 and the next breakpoint; a step that would leave
+    a sliver shorter than the step floor before t1 ends at t1.
     """
     checked = lambda tt, yy: _eval_field(field, tt, yy)
     gauges = [ev.gauge(checked) for ev in events]
@@ -299,9 +299,9 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, max_steps,
     steps = 0
     while t < t1:
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise DivergenceError("step budget exhausted", time=t, state=y.copy())
-        h = min(h, t1 - t, max_step)
+        h = min(h, t1 - t)
         for bp in breakpoints:
             if t < bp - 1e-14 and t + h > bp:
                 h = bp - t
@@ -339,8 +339,6 @@ def integrate_ode(
     span,
     tol: float = 1e-8,
     events: Sequence[EventSpec] = (),
-    max_step: float = math.inf,
-    max_steps: int = 1_000_000,
 ):
     """Integrate y' = field(t, y) over span with adaptive 5(4) stepping.
 
@@ -360,8 +358,7 @@ def integrate_ode(
 
     attempt = lambda t, y, f, h: _dp_step(field, t, y, f, h, tol)
     ts, ys, fs = [t0], [y], [f]
-    found = _march(attempt, field, ts, ys, fs, t1, min(h, t1 - t0, max_step),
-                   events, max_steps, max_step)
+    found = _march(attempt, field, ts, ys, fs, t1, min(h, t1 - t0), events)
     return Trajectory(np.array(ts), np.array(ys), np.array(fs)), found
 
 
@@ -419,19 +416,20 @@ def integrate_dde(
     span,
     tol: float = 1e-8,
     events: Sequence[EventSpec] = (),
-    history_deriv=None,
+    *,
+    history_deriv,
     prior: DdeTrajectory | None = None,
-    max_steps: int = 1_000_000,
 ):
     """Method-of-steps integration of y'(t) = field(t, y(t), lag) with a
     single constant lag tau.
 
     `field` receives `lag = Lag(value, slope)` holding y(t - tau) and its
-    derivative read from the stored dense output (or the history for
-    t - tau below the start).  Pass `prior` to continue a previous delay
-    integration from its end: `history` is then ignored and the result is
-    one flat dense output holding prior's history and segments plus the
-    new one, so lookups never recurse through earlier runs.
+    derivative read from the stored dense output (or from `history` and
+    `history_deriv` for t - tau below the start).  Pass `prior` to continue
+    a previous delay integration from its end: `history` and
+    `history_deriv` are then ignored and the result is one flat dense
+    output holding prior's history and segments plus the new one, so
+    lookups never recurse through earlier runs.
 
     Steps are aligned to the first few multiples of the lag, where the
     propagated kinks live.  Steps longer than the lag are allowed: the lag
@@ -449,11 +447,7 @@ def integrate_dde(
         hist, hist_d = prior, prior.derivative
     else:
         hist = lambda t: np.atleast_1d(np.asarray(history(t), dtype=float))
-        if history_deriv is not None:
-            hist_d = lambda t: np.atleast_1d(np.asarray(history_deriv(t), dtype=float))
-        else:
-            eps = 1e-6 * max(1.0, tau)
-            hist_d = lambda t: (hist(t) - hist(t - eps)) / eps
+        hist_d = lambda t: np.atleast_1d(np.asarray(history_deriv(t), dtype=float))
 
     ts = [t0]
     ys = [hist(t0).astype(float).copy()]
@@ -512,7 +506,7 @@ def integrate_dde(
         return y_new, f_new, None, sc
 
     found = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
-                   events, max_steps, breakpoints=breakpoints)
+                   events, breakpoints)
     traj = Trajectory(np.array(ts), np.array(ys), np.array(fs))
     if prior is not None:
         return DdeTrajectory(prior.t_start, prior.history, prior.history_deriv,

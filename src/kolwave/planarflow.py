@@ -53,6 +53,10 @@ __all__ = [
     "boundary_region",
 ]
 
+_EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
+_N_SAMPLES = 4000  # uniform samples of a connection's profile
+_N_GRID = 256  # interior coefficients a tried per delay by the certificate search
+
 
 @dataclass(frozen=True)
 class FlowField:
@@ -165,8 +169,7 @@ def _contraction_matrix(jac: np.ndarray) -> np.ndarray:
     return np.array([[p11, p12], [p12, p22]])
 
 
-def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol,
-                    n_samples=4000):
+def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     """Integrate from the origin's unstable tangent until capture at (1, 1).
 
     Capture is a terminal event at distance 10*tol from the equilibrium,
@@ -208,7 +211,7 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol,
             captured = False  # not yet inside the contraction basin
 
     t_end = capture_time if captured else traj.t_end
-    ts = np.linspace(0.0, t_end, n_samples)
+    ts = np.linspace(0.0, t_end, _N_SAMPLES)
     samples = traj.sample(ts)
     phi, psi = samples[:, 0], samples[:, 1]
 
@@ -222,8 +225,7 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol,
     if focus and len(sig) >= 1:
         shape = OSCILLATING
 
-    n_dir = max(2, n_samples // 20)
-    tail = samples[-n_dir:]
+    tail = samples[-(_N_SAMPLES // 20):]
     mean_dev = np.mean(e - tail, axis=0)
     norm = np.linalg.norm(mean_dev)
     entry = mean_dev / norm if norm > 0 else np.array([0.0, 0.0])
@@ -265,8 +267,8 @@ def heteroclinic(gamma: float, tau: float, start_amplitude: float = 1e-6,
 
 
 def finite_speed_profile(gamma: float, tau: float, eps: float,
-                         start_amplitude: float = 1e-6, tol: float = 1e-7,
-                         eps_max: float = 0.2) -> HeteroclinicResult:
+                         start_amplitude: float = 1e-6,
+                         tol: float = 1e-7) -> HeteroclinicResult:
     """Finite-speed wave connection of the two-component weak-kernel system,
     eps = 1/c^2, by shooting on the slow manifold.
 
@@ -278,8 +280,8 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
     """
     if eps == 0.0:
         return heteroclinic(gamma, tau, start_amplitude, tol)
-    if not (0.0 < eps <= eps_max):
-        raise PreconditionError(f"eps must lie in (0, {eps_max}]")
+    if not (0.0 < eps <= _EPS_MAX):
+        raise PreconditionError(f"eps must lie in (0, {_EPS_MAX}]")
     field = flow_field(gamma, tau)
     eye = np.eye(2)
 
@@ -389,11 +391,11 @@ def test_function_threshold() -> tuple[float, float]:
     return m, (13.0 + 3.0 * m) / (m - 1.0)
 
 
-def _has_admissible_a(gamma: float, tau: float, n_grid: int = 256) -> bool:
+def _has_admissible_a(gamma: float, tau: float) -> bool:
     left, right = admissible_interval(gamma, tau)
     if not right > left:
         return False
-    grid = np.linspace(left, right, n_grid + 2)[1:-1]
+    grid = np.linspace(left, right, _N_GRID + 2)[1:-1]
     return any(test_function_check(gamma, tau, TestFunction(a=float(a))).holds
                for a in grid)
 
@@ -421,7 +423,7 @@ def tau_star(gamma: float, tol: float = 0.05) -> float:
     return 0.5 * (lo + hi_b)
 
 
-def tau_sharp(gamma: float, tol: float = 0.05, het_tol: float = 1e-7) -> float:
+def tau_sharp(gamma: float, tol: float = 0.05) -> float:
     """Exact onset delay of the overshooting connection, by bisection on the
     overshoot predicate (the profile maximum grows with tau).  Returns the
     upper edge (1+gamma)/4 when no delay in the node range overshoots."""
@@ -430,7 +432,7 @@ def tau_sharp(gamma: float, tol: float = 0.05, het_tol: float = 1e-7) -> float:
     hi = (1.0 + gamma) / 4.0
 
     def overshoots(tau: float) -> bool:
-        return heteroclinic(gamma, tau, 1e-6, het_tol).phi_max > 1.0 + OVERSHOOT_EPS
+        return heteroclinic(gamma, tau).phi_max > 1.0 + OVERSHOOT_EPS
 
     if not overshoots(hi):
         return hi

@@ -34,6 +34,7 @@ NON_MONOTONE = "non-monotone-non-oscillating"
 OSCILLATING = "oscillating"
 
 OVERSHOOT_EPS = 1e-6  # relative excursion above 1 that counts as genuine
+_FIT_DECADES = 2.0  # decades a right-tail decay fit must span
 
 
 def fmt_float(x: float) -> str:
@@ -60,11 +61,10 @@ def write_csv(path: Path | str, header: Sequence[str], rows) -> None:
     Path(path).write_text(",".join(header) + "\n" + format_rows(line, table))
 
 
-def significant_crossings(ts, values, crossings, level: float = 1.0,
-                          eps: float = OVERSHOOT_EPS) -> list[float]:
-    """Filter crossing times: between consecutive crossings (and after the
-    last) the excursion away from `level` must exceed eps, otherwise the pair
-    is integrator noise around the level."""
+def significant_crossings(ts, values, crossings) -> list[float]:
+    """Filter crossing times of the level 1: between consecutive crossings
+    (and after the last) the excursion away from 1 must exceed
+    OVERSHOOT_EPS, otherwise the pair is integrator noise around the level."""
     if len(crossings) == 0:
         return []
     ts = np.asarray(ts)
@@ -75,13 +75,12 @@ def significant_crossings(ts, values, crossings, level: float = 1.0,
         seg = (ts > tc) & (ts <= bounds[i + 1])
         if not np.any(seg):
             continue
-        if np.max(np.abs(values[seg] - level)) > eps:
+        if np.max(np.abs(values[seg] - 1.0)) > OVERSHOOT_EPS:
             kept.append(float(tc))
     return kept
 
 
-def classify_shape(ts, values, crossings, level: float = 1.0,
-                   eps: float = OVERSHOOT_EPS) -> str:
+def classify_shape(ts, values, crossings) -> str:
     """Shape taxonomy of a connection from 0 to the level-1 state.
 
     monotone: never exceeds the level beyond noise and no significant
@@ -89,21 +88,21 @@ def classify_shape(ts, values, crossings, level: float = 1.0,
     the level with at most one significant crossing; oscillating: two or
     more significant crossings.
     """
-    sig = significant_crossings(ts, values, crossings, level, eps)
+    sig = significant_crossings(ts, values, crossings)
     sup = float(np.max(values))
     if len(sig) >= 2:
         return OSCILLATING
-    if sup > level * (1.0 + eps):
+    if sup > 1.0 + OVERSHOOT_EPS:
         return NON_MONOTONE
     return MONOTONE
 
 
-def fit_decay(ts, dist, lo: float, hi: float, min_decades: float = 2.0):
+def fit_decay(ts, dist, lo: float, hi: float):
     """Least-squares slope of log(dist) over the final stretch where dist
     lies in [lo, hi] and decreases monotonically toward the end.
 
     Returns (slope, ok).  ok is False when the window spans fewer than
-    `min_decades` decades or has fewer than 8 samples.
+    two decades (_FIT_DECADES) or has fewer than 8 samples.
     """
     ts = np.asarray(ts, dtype=float)
     dist = np.asarray(dist, dtype=float)
@@ -124,7 +123,7 @@ def fit_decay(ts, dist, lo: float, hi: float, min_decades: float = 2.0):
     t = ts[sel]
     y = np.log(dist[sel])
     slope = float(np.polyfit(t, y, 1)[0])
-    return slope, span >= min_decades
+    return slope, span >= _FIT_DECADES
 
 
 def _growth_fit(ts, values, amplitude: float):
@@ -224,30 +223,22 @@ class RegionCurve:
 
 def build_profile(ts: np.ndarray, values: np.ndarray, *,
                   crossings=(), h=None, flags=(),
-                  amplitude: float | None = None,
-                  plus_target: float | None = 1.0,
-                  plus_window: tuple[float, float] | None = None) -> Profile:
+                  amplitude: float,
+                  plus_window: tuple[float, float]) -> Profile:
     """Assemble a Profile from uniform samples, fitting both decay exponents.
 
     `amplitude` is the launch size used for the left-tail fit window;
     `plus_window` the (lo, hi) distance band for the right-tail fit of
-    |values - plus_target|.
+    |values - 1|.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     dt = float(ts[1] - ts[0])
     grid = Grid(float(ts[0]), dt, len(ts))
 
-    decay_minus = None
-    if amplitude is not None:
-        decay_minus = _growth_fit(ts, values, amplitude)
-
-    decay_plus = None
-    if plus_target is not None:
-        lo, hi = plus_window if plus_window is not None else (1e-8, 1e-3)
-        slope, ok = fit_decay(ts, np.abs(values - plus_target), lo, hi)
-        if ok:
-            decay_plus = slope
+    decay_minus = _growth_fit(ts, values, amplitude)
+    slope, ok = fit_decay(ts, np.abs(values - 1.0), *plus_window)
+    decay_plus = slope if ok else None
 
     shape = classify_shape(ts, values, crossings)
     sig = tuple(significant_crossings(ts, values, crossings))

@@ -246,27 +246,25 @@ def config_to_json(config: IterationConfig) -> dict:
     }
 
 
-def default_config(params: WaveParams, dt: float = 0.02, tol: float = 1e-9,
-                   max_iters: int = 1500, span_pad: float = 1.0) -> tuple[IterationConfig, BoundReport]:
+def default_config(params: WaveParams, dt: float = 0.02,
+                   tol: float = 1e-9) -> tuple[IterationConfig, BoundReport]:
     """Config with the spelled-out defaults: cutoff level 1.5x the a-priori
     bound, shift b = 2*(G(0) - min G on [0, 2*beta]) + 1, and a grid wide
-    enough that both end states are resolved to ~1e-9."""
+    enough that both end states are resolved to ~1e-9.  Every law the bound
+    accepts (no hump) falls on [0, inf), so that minimum is G(2*beta)."""
     growth, c = params.growth, params.c
     bound = apriori_bound(c, params.kernel, growth)
     beta = 1.5 * bound.U
-    us = np.linspace(0.0, 2.0 * beta, 2001)
-    b = 2.0 * (growth.g0 - float(np.min(growth.g(us)))) + 1.0
+    b = 2.0 * (growth.g0 - growth.g(2.0 * beta)) + 1.0
 
     lam, _ = kpp_roots(c, growth.g0)
     rep = roots_at_one(params)
     negs = rep.real_roots(-1)
     rate_plus = max((r.re for r in negs), default=-abs(growth.gp1) / c)
-    t_lo = -(21.0 / lam) * span_pad
-    mean_shift = max(params.kernel.mean(c), 0.0)
-    t_hi = (21.0 / max(-rate_plus, 1e-3) + mean_shift + 10.0) * span_pad
-    n = int((t_hi - t_lo) / dt) + 1
-    grid = Grid(t_lo, dt, n)
-    return IterationConfig(b=b, beta=beta, grid=grid, max_iters=max_iters, tol=tol), bound
+    t_lo = -21.0 / lam
+    t_hi = 21.0 / max(-rate_plus, 1e-3) + max(params.kernel.mean(c), 0.0) + 10.0
+    grid = Grid(t_lo, dt, int((t_hi - t_lo) / dt) + 1)
+    return IterationConfig(b=b, beta=beta, grid=grid, tol=tol), bound
 
 
 def _cell_weights_left(alpha: float, h: float) -> tuple[float, float, float]:
@@ -322,28 +320,26 @@ class _GreenOperator:
     a grid of n nodes with step h, applied to the samples r.
 
     The right tail is closed with r frozen at the boundary (exact on the
-    plateau); with `lam` given, the left tail is closed as r[0]*e^(lam(s-t0))
-    and each sweep's cell weights get an antisymmetric O(h^2) split so that
-    the discrete operator is exact on constants AND on e^(lam t).  Both
-    marginal modes of the front iteration (the plateau and the translation
-    tail) are then preserved to rounding, which keeps the fixed point from
-    drifting off the grid.  The weights and sweep tables are built once.
+    plateau), the left tail as r[0]*e^(lam(s-t0)), and each sweep's cell
+    weights get an antisymmetric O(h^2) split so that the discrete operator
+    is exact on constants AND on e^(lam t).  Both marginal modes of the
+    front iteration (the plateau and the translation tail) are then
+    preserved to rounding, which keeps the fixed point from drifting off the
+    grid.  The weights and sweep tables are built once.
     """
 
-    def __init__(self, z1: float, z2: float, h: float, n: int,
-                 lam: float | None = None):
+    def __init__(self, z1: float, z2: float, h: float, n: int, lam: float):
         e1, a1, b1 = _cell_weights_left(z1, h)
         e2, a2, b2 = _cell_weights_right(z2, h)
-        if lam is not None:
-            em = math.exp(-lam * h)
-            ell = (a1 * em + b1) / (1.0 - e1 * em)
-            d1 = (1.0 / (lam - z1) - ell) * (1.0 - e1 * em) / (em - 1.0)
-            a1, b1 = a1 + d1, b1 - d1
-            ep = math.exp(lam * h)
-            rho = (a2 + b2 * ep) / (1.0 - e2 * ep)
-            d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
-            a2, b2 = a2 + d2, b2 - d2
-        self.left_rate = -z1 if lam is None else lam - z1
+        em = math.exp(-lam * h)
+        ell = (a1 * em + b1) / (1.0 - e1 * em)
+        d1 = (1.0 / (lam - z1) - ell) * (1.0 - e1 * em) / (em - 1.0)
+        a1, b1 = a1 + d1, b1 - d1
+        ep = math.exp(lam * h)
+        rho = (a2 + b2 * ep) / (1.0 - e2 * ep)
+        d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
+        a2, b2 = a2 + d2, b2 - d2
+        self.left_rate = lam - z1
         self.z1, self.z2 = z1, z2
         self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
         self.left, self.right = _sweep_tables(e1, n), _sweep_tables(e2, n)
@@ -353,12 +349,6 @@ class _GreenOperator:
         w = self.a2 * r[:-1] + self.b2 * r[1:]
         i_right = _sweep(self.right, w[::-1], r[-1] / self.z2)[::-1]
         return (i_left + i_right) / (self.z2 - self.z1)
-
-
-def _green_apply(r: np.ndarray, z1: float, z2: float, h: float,
-                 lam: float | None = None) -> np.ndarray:
-    """One application of the Green operator of r's grid (see _GreenOperator)."""
-    return _GreenOperator(z1, z2, h, len(r), lam)(r)
 
 
 def _convolver(kernel: Kernel, c: float, h: float, n: int):
@@ -396,11 +386,11 @@ class IterationResult:
     slack: float = 0.0  # iteration tol plus the measured discretization defect
 
 
-def iterate_front(config: IterationConfig, params: WaveParams,
-                  phi_init: np.ndarray | None = None) -> IterationResult:
-    """Iterate the Green-operator map to its fixed point inside the
-    upper/lower sandwich; every iterate is checked against the sandwich and
-    a breach beyond 10*tol aborts (mis-chosen b, beta, or grid truncation).
+def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResult:
+    """Iterate the Green-operator map from the upper solution to its fixed
+    point inside the upper/lower sandwich; every iterate is checked against
+    the sandwich and a breach beyond 10*tol aborts (mis-chosen b, beta, or
+    grid truncation).
 
     Returns the profile with decay fits plus the defect of the profile
     equation under central differences on the trimmed interior.
@@ -436,10 +426,7 @@ def iterate_front(config: IterationConfig, params: WaveParams,
     slack = 10.0 * config.tol + 3.0 * defect
     floor, ceiling = phi_minus - slack, phi_plus + slack
 
-    phi = phi_plus.copy() if phi_init is None else np.asarray(phi_init, dtype=float).copy()
-    if np.any(phi < floor) or np.any(phi > ceiling):
-        raise PreconditionError("initial iterate must lie inside the sandwich")
-
+    phi = phi_plus.copy()
     history: list[float] = []
     converged = False
     iterations = 0
@@ -532,14 +519,14 @@ def asymptotic_check(profile: Profile, params: WaveParams) -> AsymptoticsReport:
     )
 
 
-def critical_speed_probe(params: WaveParams, dt: float = 0.02,
-                         js=(1, 2, 3)) -> list[tuple[float, IterationResult]]:
-    """Approach the critical speed 2*sqrt(G(0)) through c + 1/j and report
-    the runs; the caller inspects the drift rather than claiming the limit."""
+def critical_speed_probe(params: WaveParams) -> list[tuple[float, IterationResult]]:
+    """Approach the critical speed 2*sqrt(G(0)) through c + 1/j, j = 1, 2, 3,
+    and report the runs; the caller inspects the drift rather than claiming
+    the limit."""
     c_star = 2.0 * math.sqrt(params.growth.g0)
     out = []
-    for j in js:
+    for j in (1, 2, 3):
         pj = WaveParams(params.growth, params.kernel, c_star + 1.0 / j)
-        config, _ = default_config(pj, dt=dt)
+        config, _ = default_config(pj)
         out.append((pj.c, iterate_front(config, pj)))
     return out

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _DOUBLE_ROOT_FTOL = 1e-9
+_N_SCAN = 512  # sign-grid points of a real-root scan
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,7 @@ def _scan_real_roots(
     fprime: Callable[[float], float],
     lo: float,
     hi: float,
-    n_scan: int = 512,
-    local_scale: Callable[[float], float] | None = None,
+    local_scale: Callable[[float], float],
 ) -> list[Root]:
     """Sign-grid scan plus bisection; tangencies (no sign change, |f| dipping
     to ~0 at a critical point) are reported as double roots.
@@ -121,11 +121,11 @@ def _scan_real_roots(
     at z; the tangency test |f| < tol * scale must not use a global scale,
     which exponential terms inflate at the far end of the window.
     """
-    zs = np.linspace(lo, hi, n_scan)
+    zs = np.linspace(lo, hi, _N_SCAN)
     vals = np.array([f(z) for z in zs])
 
     simple: list[float] = []
-    for i in range(n_scan - 1):
+    for i in range(_N_SCAN - 1):
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0:
             simple.append(float(zs[i]))
@@ -136,13 +136,12 @@ def _scan_real_roots(
 
     doubles: list[float] = []
     dvals = np.array([fprime(z) for z in zs])
-    for i in range(n_scan - 1):
+    for i in range(_N_SCAN - 1):
         if (dvals[i] < 0) != (dvals[i + 1] < 0):
             zc = find_root(fprime, (zs[i], zs[i + 1]), 1e-14)
-            scale = max(1.0, local_scale(zc)) if local_scale is not None else 1.0
-            if abs(f(zc)) < _DOUBLE_ROOT_FTOL * scale:
+            if abs(f(zc)) < _DOUBLE_ROOT_FTOL * max(1.0, local_scale(zc)):
                 # skip if it merely sits between two already-resolved simple roots
-                near = [r for r in simple if abs(r - zc) < (hi - lo) / n_scan]
+                near = [r for r in simple if abs(r - zc) < (hi - lo) / _N_SCAN]
                 if not near:
                     doubles.append(zc)
 
@@ -150,15 +149,11 @@ def _scan_real_roots(
     return roots
 
 
-def roots_at_one(
-    params: WaveParams,
-    window: tuple[float, float] | None = None,
-    n_scan: int = 512,
-) -> RootReport:
+def roots_at_one(params: WaveParams) -> RootReport:
     """Real roots of the linearization about the positive state,
     z^2 - c z + G'(1) * M(z), with M the kernel's exponential moment.
 
-    The search window defaults to [-20/L, 0) with L the kernel's lag scale,
+    The search window is [-20/L, 0) with L the kernel's lag scale,
     clipped to the moment's finiteness interval (clipping is reported via
     `truncated_window`).  At most four negative zeros can exist; more is an
     internal error.
@@ -168,15 +163,13 @@ def roots_at_one(
     kern = params.kernel
 
     lag_scale = max(kern.tau * c, 1.0)  # 1 for the dirac and table kernels, whose tau is 0
-    lo_req, hi_req = window if window is not None else (-20.0 / lag_scale, 0.0)
-
     lo_fin, _ = kern.finite_moment_interval(c)
     truncated = None
-    lo = lo_req
+    lo = -20.0 / lag_scale
     if lo <= lo_fin:
         lo = lo_fin + 1e-9 * max(1.0, abs(lo_fin)) + 1e-12
-        truncated = (lo, hi_req)
-    hi = hi_req - 1e-12
+        truncated = (lo, 0.0)
+    hi = -1e-12
 
     def f(z: float) -> float:
         return z * z - c * z + gp1 * kern.laplace(z, c)
@@ -187,7 +180,7 @@ def roots_at_one(
     def terms(z: float) -> float:
         return z * z + abs(c * z) + abs(gp1 * kern.laplace(z, c))
 
-    roots = _scan_real_roots(f, fp, lo, hi, n_scan, local_scale=terms)
+    roots = _scan_real_roots(f, fp, lo, hi, terms)
     negatives = sum(r.mult for r in roots if r.re < 0)
     if negatives > 4:
         raise KolwaveError(f"found {negatives} negative roots; at most 4 possible")
@@ -252,8 +245,7 @@ def _merge_conjugate_noise(roots: list[Root]) -> list[Root]:
     return out
 
 
-def delay_char_roots(gamma: float, tau: float, eps: float,
-                     window: tuple[float, float] | None = None) -> RootReport:
+def delay_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     """Real roots in [-20/tau, 0) of the delayed characteristic
     eps z^2 - z - exp(-z tau)/(1+gamma) = 0.
 
@@ -263,7 +255,7 @@ def delay_char_roots(gamma: float, tau: float, eps: float,
     """
     if gamma < 0 or not tau > 0 or eps < 0:
         raise PreconditionError("need gamma >= 0, tau > 0, eps >= 0")
-    lo, hi = window if window is not None else (-20.0 / tau, -1e-12)
+    lo, hi = -20.0 / tau, -1e-12
     denom = 1.0 + gamma
 
     def f(z: float) -> float:
@@ -275,7 +267,7 @@ def delay_char_roots(gamma: float, tau: float, eps: float,
     def terms(z: float) -> float:
         return eps * z * z + abs(z) + math.exp(-z * tau) / denom
 
-    roots = _scan_real_roots(f, fp, lo, hi, local_scale=terms)
+    roots = _scan_real_roots(f, fp, lo, hi, terms)
     classification = "boundary" if any(r.mult == 2 for r in roots) else None
     return RootReport(roots=roots, classification=classification)
 

@@ -59,7 +59,7 @@ def test_kernel_table_mistyped_field_exits_2(tmp_path, capsys):
 def test_config_json_missing_field_exits_2(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"b": 1.0}))
-    assert run(tmp_path, "iterate", "--preset", "kpp", "--config", str(config)) == 2
+    assert run(tmp_path, "iterate", "--model", "kpp", "--config", str(config)) == 2
     assert "'grid'" in capsys.readouterr().err
     assert (tmp_path / "iterate.manifest.json").exists()
 
@@ -100,7 +100,7 @@ def test_overshoot_gamma_zero_exit_code(tmp_path):
 
 
 def test_iterate_preset_kpp(tmp_path):
-    code = run(tmp_path, "iterate", "--preset", "kpp", "--c", "2.5",
+    code = run(tmp_path, "iterate", "--model", "kpp", "--c", "2.5",
                "--dt", "0.02")
     assert code == 0
     doc = json.loads((tmp_path / "front.json").read_text())
@@ -110,7 +110,7 @@ def test_iterate_preset_kpp(tmp_path):
 
 
 def test_iterate_subcritical_exits_2(tmp_path):
-    code = run(tmp_path, "iterate", "--preset", "kpp", "--c", "1.0")
+    code = run(tmp_path, "iterate", "--model", "kpp", "--c", "1.0")
     assert code == 2
 
 
@@ -122,7 +122,7 @@ def test_iterate_with_config_json(tmp_path):
     config, _ = default_config(params, dt=0.05, tol=1e-8)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_json(config)))
-    code = run(tmp_path, "iterate", "--preset", "kpp", "--c", "2.5",
+    code = run(tmp_path, "iterate", "--model", "kpp", "--c", "2.5",
                "--config", str(cfg_path))
     assert code == 0
     doc = json.loads((tmp_path / "front.json").read_text())
@@ -131,7 +131,7 @@ def test_iterate_with_config_json(tmp_path):
 
 
 def test_check_asymptotics(tmp_path):
-    code = run(tmp_path, "check-asymptotics", "--preset", "kpp", "--c", "2.5",
+    code = run(tmp_path, "check-asymptotics", "--model", "kpp", "--c", "2.5",
                "--dt", "0.02")
     assert code == 0
     doc = json.loads((tmp_path / "asymptotics.json").read_text())
@@ -175,6 +175,34 @@ def test_region_tau_star_with_jobs(tmp_path):
 def test_jobs_flag_belongs_to_region_only(tmp_path):
     code = run(tmp_path, "roots", "--gamma", "9", "--tau", "3", "--jobs", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("iterate", "--preset", "kpp", "--c", "2.5"),
+    ("heteroclinic", "--gamma", "40", "--tau", "10", "--eps", "0.01"),
+    ("limit-profile", "--gamma", "9", "--tau", "3", "--eps", "0.01"),
+], ids=lambda argv: argv[0])
+def test_flags_that_duplicated_another_command_are_gone(tmp_path, argv):
+    # --model kpp, weak-profile and finite-profile run these jobs
+    assert run(tmp_path, *argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("iterate", "--model", "food", "--gamma", "nan", "--c", "2.5"),
+    ("iterate", "--c", "nan"),
+    ("region", "overshoot", "--gamma", "nan:1:1"),
+    ("region", "overshoot", "--gamma", "1:inf:1"),
+    ("region", "overshoot", "--gamma", "0:1e300:1e-300"),
+    ("overshoot", "--gamma", "nan", "--tau", "1"),
+    ("roots", "--gamma", "nan", "--tau", "1"),
+    ("iterate", "--json", "MODEL"),
+], ids=" ".join)
+def test_non_finite_input_exits_2(tmp_path, argv):
+    model = tmp_path / "model.json"
+    model.write_text('{"growth": {"kind": "kpp"}, "kernel": {"kind": "dirac-spatial"}, '
+                     '"c": NaN}')
+    argv = [str(model) if a == "MODEL" else a for a in argv]
+    assert run(tmp_path / "out", *argv) == 2
 
 
 def test_outputs_are_byte_reproducible(tmp_path):
@@ -240,5 +268,5 @@ def test_manifest_records_the_error_class(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     three = tmp_path / "three"
-    assert run(three, "iterate", "--preset", "kpp", "--c", "2.5", "--config", str(cfg_path)) == 3
+    assert run(three, "iterate", "--model", "kpp", "--c", "2.5", "--config", str(cfg_path)) == 3
     assert _manifest(three, "iterate")["error"] == "InvarianceBreachError"

@@ -172,7 +172,7 @@ def test_roots_at_one_discrete_boundary_tangency():
 
 def test_roots_at_one_weak_kernel_truncates_at_divergence():
     params = WaveParams(GrowthModel.food_limited(9.0), Kernel.weak(3.0), 2.0)
-    rep = roots_at_one(params, window=(-50.0, 0.0))
+    rep = roots_at_one(params)  # its window [-20/(tau*c), 0) reaches past -0.1547
     assert rep.truncated_window is not None
     lo_fin, _ = params.kernel.finite_moment_interval(params.c)
     assert rep.truncated_window[0] >= lo_fin
