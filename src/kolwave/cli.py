@@ -144,6 +144,8 @@ def _build_params(args) -> WaveParams:
 
 
 def cmd_roots(args, out: Path, manifest: RunManifest) -> int:
+    if args.c == 0:
+        raise PreconditionError("roots needs a nonzero speed --c")
     eps = args.c ** -2
     if args.kernel == "discrete":
         rep = spectral.delay_char_roots(args.gamma, args.tau, eps)

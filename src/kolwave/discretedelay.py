@@ -13,6 +13,7 @@ whose connection from 0 to 1 is unique up to translation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedError,
 )
 from .models import GrowthModel
-from .numerics import EventSpec, find_root, integrate_dde, maximize_scalar
+from .numerics import EventSpec, find_root, integrate_dde, lower_edge, maximize_scalar
 from .profiles import (
     MONOTONE,
     NON_MONOTONE,
@@ -51,6 +52,7 @@ __all__ = [
 
 _AMPLITUDE = 1e-6  # size of the launch history at t = 0
 _EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
+_TAU_MAX = math.log(sys.float_info.max)  # largest tau whose e^tau is a float
 
 
 def crossings_from_samples(ts, values) -> list[float]:
@@ -75,15 +77,13 @@ def _history_rate(tau: float) -> float:
 def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol, cap_eps):
     """Chunked method-of-steps run until the solution settles within cap_eps
     of 1 over a whole chunk, or the span is exhausted."""
+    if not span_length > 0:
+        raise PreconditionError(f"span must be positive, got {span_length}")
     chunk = max(5.0 * tau, 10.0)
-    events = [
-        EventSpec("level-crossing", index=0, level=1.0),
-        EventSpec("derivative-sign-change", index=0),
-    ]
+    events = [EventSpec("level-crossing", level=1.0)]
     t_lo = 0.0
     composite = None
     crossings: list[float] = []
-    extrema: list[float] = []
     captured = False
     while t_lo < span_length and not captured:
         t_hi = min(t_lo + chunk, span_length)
@@ -91,16 +91,12 @@ def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol, ca
             field, tau, history, (t_lo, t_hi), tol, events,
             history_deriv=history_deriv, prior=composite,
         )
-        for ev in evs:
-            if ev.kind == "level-crossing":
-                crossings.append(ev.time)
-            else:
-                extrema.append(ev.time)
+        crossings += [ev.time for ev in evs]
         probe = np.linspace(t_lo, composite.t_end, 257)
         if np.max(np.abs(composite.sample(probe)[:, 0] - 1.0)) < cap_eps:
             captured = True
         t_lo = composite.t_end
-    return composite, crossings, extrema, captured
+    return composite, crossings, captured
 
 
 def _sample_profile(composite, tau, crossings, captured, cap_eps) -> Profile:
@@ -144,7 +140,7 @@ def limit_profile(gamma: float, tau: float, span_length: float = 400.0,
     def field(t, y, lag):
         return np.array([y[0] * growth.g(lag.value[0])])
 
-    composite, crossings, _, captured = _integrate_kinetics(
+    composite, crossings, captured = _integrate_kinetics(
         field, tau, history, history_deriv, span_length, tol, cap_eps)
     return _sample_profile(composite, tau, crossings, captured, cap_eps)
 
@@ -184,7 +180,7 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
         return np.array([(y[0] * g + eps * y[0] * gp * lag.slope[0]) / denom])
 
     try:
-        composite, crossings, _, captured = _integrate_kinetics(
+        composite, crossings, captured = _integrate_kinetics(
             field, tau, history, history_deriv, span_length, tol, cap_eps)
     except (DivergenceError, FieldEvaluationError) as exc:
         raise StiffShootingError(
@@ -201,12 +197,13 @@ def overshoot_bound(gamma: float, tau: float) -> float:
           * ((1+a*gamma)/(1+a*gamma*e^tau))^(1+1/gamma).
 
     A value above 1 certifies a non-monotone connection.  Exactly 1 at
-    tau = 0.  The gamma = 0 limit is not defined and is rejected.
+    tau = 0.  The gamma = 0 limit is not defined and is rejected, and so is
+    a tau whose e^tau overflows.
     """
     if gamma <= 0:
         raise UnsupportedError("overshoot bound needs gamma > 0")
-    if tau < 0:
-        raise PreconditionError("tau must be non-negative")
+    if not 0 <= tau <= _TAU_MAX:
+        raise PreconditionError(f"tau must lie in [0, {_TAU_MAX:.6g}]")
     e_tau = math.exp(tau)
     expo = 1.0 + 1.0 / gamma
 
@@ -227,27 +224,20 @@ def overshoot_bound(gamma: float, tau: float) -> float:
 
 def overshoot_region(gammas, tol: float = 1e-3) -> RegionCurve:
     """For each gamma, the smallest tau with overshoot bound above 1 (NaN
-    when no such tau exists below the real-spectrum edge), together with
-    the edge tau_upper = (1+gamma)/e."""
+    when the bound stays at or below 1 at the top of the window), together
+    with the edge tau_upper = (1+gamma)/e.  The window stops just below
+    tau_upper, and at the largest tau the bound accepts."""
     gammas = np.asarray(list(gammas), dtype=float)
     lower = np.full(len(gammas), math.nan)
     upper = (1.0 + gammas) / math.e
     for i, g in enumerate(gammas):
-        hi = upper[i] * (1.0 - 1e-9)
-        taus = np.linspace(hi / 64.0, hi, 64)
-        prev = 0.0
-        for t in taus:
-            if overshoot_bound(float(g), float(t)) > 1.0:
-                lo_b, hi_b = prev, float(t)
-                while hi_b - lo_b > tol:
-                    mid = 0.5 * (lo_b + hi_b)
-                    if mid <= 0.0 or overshoot_bound(float(g), mid) > 1.0:
-                        hi_b = mid
-                    else:
-                        lo_b = mid
-                lower[i] = 0.5 * (lo_b + hi_b)
-                break
-            prev = float(t)
+        hi = min(float(upper[i]) * (1.0 - 1e-9), _TAU_MAX)
+
+        def certified(tau: float) -> bool:
+            return overshoot_bound(float(g), tau) > 1.0
+
+        if certified(hi):
+            lower[i] = lower_edge(certified, hi, tol)
     return RegionCurve(gamma=gammas, columns={"tau_lower": lower, "tau_upper": upper})
 
 

@@ -2,9 +2,9 @@
 
 Explicit Dormand-Prince 5(4) stepping with cubic-Hermite dense output and
 event location, delay integration by the method of steps, bracketing root
-solving, scalar maximisation, and adaptive quadrature on finite or
-semi-infinite domains.  Everything here is deterministic: fixed inputs give
-bit-identical outputs.
+solving, lower-edge search, scalar maximisation, and adaptive quadrature on
+finite or semi-infinite domains.  Everything here is deterministic: fixed
+inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "integrate_ode",
     "integrate_dde",
     "find_root",
+    "lower_edge",
     "maximize_scalar",
     "quad_adaptive",
     "cubic_real_roots",
@@ -76,15 +77,14 @@ class Event:
 class EventSpec:
     """What to watch for during integration.
 
-    kind "level-crossing" fires when component `index` crosses `level`;
-    kind "derivative-sign-change" fires when the field component `index`
+    kind "level-crossing" fires when the first component crosses `level`;
+    kind "derivative-sign-change" fires when the first field component
     changes sign (a local extremum of that component).  `direction` filters
     to "up" (- to +), "down", or "any".  A terminal event stops the
     integration at the refined event time.
     """
 
     kind: str
-    index: int = 0
     level: float = 0.0
     direction: str = "any"
     terminal: bool = False
@@ -94,11 +94,10 @@ class EventSpec:
         if self.fn is not None:
             return self.fn
         if self.kind == "level-crossing":
-            idx, lvl = self.index, self.level
-            return lambda t, y: y[idx] - lvl
+            lvl = self.level
+            return lambda t, y: y[0] - lvl
         if self.kind == "derivative-sign-change":
-            idx = self.index
-            return lambda t, y: field_fn(t, y)[idx]
+            return lambda t, y: field_fn(t, y)[0]
         raise PreconditionError(f"unknown event kind {self.kind!r}")
 
 
@@ -538,6 +537,25 @@ def find_root(f, bracket, tol: float = 1e-12) -> float:
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def lower_edge(pred, hi: float, tol: float) -> float:
+    """Lower edge of {t in (0, hi] : pred(t)} for a predicate that holds at
+    hi and stays true above its edge: halve down from hi/2 while pred holds
+    (a value below 1e-6*hi is returned as the edge), then bisect to a
+    bracket of width tol and return its midpoint."""
+    lo = hi / 2.0
+    while pred(lo):
+        lo /= 2.0
+        if lo < 1e-6 * hi:
+            return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

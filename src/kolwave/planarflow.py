@@ -28,11 +28,9 @@ from .errors import (
     NoWindowError,
     PreconditionError,
     StiffShootingError,
-    UnsupportedError,
 )
-from .numerics import EventSpec, cubic_real_roots, integrate_ode
-from .profiles import OSCILLATING, OVERSHOOT_EPS, RegionCurve, build_profile
-from .profiles import Profile, classify_shape, significant_crossings
+from .numerics import EventSpec, cubic_real_roots, integrate_ode, lower_edge
+from .profiles import OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
 
 __all__ = [
     "FlowField",
@@ -191,8 +189,8 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     max_span = 1.5 * (math.log(2.0 / start_amplitude) + math.log(2.0 / r_cap) / rate) + 50.0
 
     events = [
-        EventSpec("level-crossing", index=0, level=1.0),
-        EventSpec("derivative-sign-change", index=0),
+        EventSpec("level-crossing", level=1.0),
+        EventSpec("derivative-sign-change"),
         EventSpec("custom-capture", fn=lambda t, y: float(np.linalg.norm(y - e)) - r_cap,
                   direction="down", terminal=True),
     ]
@@ -219,12 +217,6 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     extrema = [ev.time for ev in evs if ev.kind == "derivative-sign-change" and ev.time <= t_end]
     phi_max = float(max([phi.max(), *traj.sample(extrema)[:, 0]]))
 
-    sig = tuple(significant_crossings(ts, phi, cross_times))
-    shape = classify_shape(ts, phi, cross_times)
-    focus = tau > (1.0 + gamma) / 4.0
-    if focus and len(sig) >= 1:
-        shape = OSCILLATING
-
     tail = samples[-(_N_SAMPLES // 20):]
     mean_dev = np.mean(e - tail, axis=0)
     norm = np.linalg.norm(mean_dev)
@@ -237,13 +229,14 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     psi_prof = build_profile(ts, psi, crossings=(), flags=flags,
                              amplitude=start_amplitude,
                              plus_window=(max(3.0 * r_cap, 1e-7), 1e-3))
+    focus = tau > (1.0 + gamma) / 4.0
     return HeteroclinicResult(
         profile=prof,
         psi_profile=psi_prof,
-        shape=shape,
+        shape=OSCILLATING if focus and prof.crossings else prof.shape,
         phi_max=phi_max,
         entry_direction=entry,
-        crossings_of_one=sig,
+        crossings_of_one=prof.crossings,
         captured=captured,
         capture_time=capture_time,
     )
@@ -306,10 +299,9 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Monotone comparison arc psi = a*phi + (1-a)*phi^n on [0, 1]."""
+    """Monotone comparison arc psi = a*phi + (1-a)*phi^3 on [0, 1]."""
 
     a: float
-    n: int = 3
 
     @property
     def b(self) -> float:
@@ -349,8 +341,6 @@ def test_function_check(gamma: float, tau: float, tf: TestFunction) -> TestFunct
     directly, the interior barrier inequality reduced to positivity of a
     quartic on (0, 1) and certified through the closed-form critical points
     of its cubic derivative plus the endpoint values."""
-    if tf.n != 3:
-        raise UnsupportedError("only the cubic comparison arc is supported")
     if not gamma > 1:
         raise PreconditionError("hypotheses need gamma > 1")
     if not tau <= (1.0 + gamma) / 4.0:
@@ -408,19 +398,7 @@ def tau_star(gamma: float, tol: float = 0.05) -> float:
     hi = (1.0 + gamma) / 4.0
     if not _has_admissible_a(gamma, hi - 1e-9):
         raise NoWindowError(f"no admissible coefficient at any tau for gamma={gamma}")
-    lo = hi / 2.0
-    while _has_admissible_a(gamma, lo):
-        lo /= 2.0
-        if lo < 1e-6 * hi:
-            return lo
-    hi_b = hi
-    while hi_b - lo > tol:
-        mid = 0.5 * (lo + hi_b)
-        if _has_admissible_a(gamma, mid):
-            hi_b = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi_b)
+    return lower_edge(lambda tau: _has_admissible_a(gamma, tau), hi, tol)
 
 
 def tau_sharp(gamma: float, tol: float = 0.05) -> float:
@@ -436,21 +414,7 @@ def tau_sharp(gamma: float, tol: float = 0.05) -> float:
 
     if not overshoots(hi):
         return hi
-    lo = hi / 2.0
-    for _ in range(20):
-        if not overshoots(lo):
-            break
-        lo /= 2.0
-    else:
-        return lo
-    hi_b = hi
-    while hi_b - lo > tol:
-        mid = 0.5 * (lo + hi_b)
-        if overshoots(mid):
-            hi_b = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi_b)
+    return lower_edge(overshoots, hi, tol)
 
 
 def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
@@ -462,22 +426,17 @@ def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
     the node-to-focus edge tau_upper = (1+gamma)/4.
     """
     gammas = np.asarray(list(gammas), dtype=float)
+    # looked up per call, so a replaced module attribute is the one that runs
+    solvers = {"tau_sharp": tau_sharp, "tau_star": tau_star}
 
-    def one(g: float) -> tuple[float, float, float]:
-        upper = (1.0 + g) / 4.0
-        sharp = math.nan
-        star = math.nan
-        if "tau_sharp" in kinds:
+    def one(g: float) -> list[float]:
+        row = []
+        for kind, solver in solvers.items():
             try:
-                sharp = tau_sharp(g, tol)
+                row.append(solver(g, tol) if kind in kinds else math.nan)
             except KolwaveError:
-                sharp = math.nan
-        if "tau_star" in kinds:
-            try:
-                star = tau_star(g, tol)
-            except KolwaveError:
-                star = math.nan
-        return sharp, star, upper
+                row.append(math.nan)
+        return row + [(1.0 + g) / 4.0]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

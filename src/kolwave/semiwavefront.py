@@ -259,7 +259,7 @@ def default_config(params: WaveParams, dt: float = 0.02,
 
     lam, _ = kpp_roots(c, growth.g0)
     rep = roots_at_one(params)
-    negs = rep.real_roots(-1)
+    negs = rep.real_negative_roots()
     rate_plus = max((r.re for r in negs), default=-abs(growth.gp1) / c)
     t_lo = -21.0 / lam
     t_hi = 21.0 / max(-rate_plus, 1e-3) + max(params.kernel.mean(c), 0.0) + 10.0
@@ -501,7 +501,7 @@ def asymptotic_check(profile: Profile, params: WaveParams) -> AsymptoticsReport:
     matched = None
     rel_plus = None
     if profile.decay_plus is not None:
-        negs = roots_at_one(params).real_roots(-1)
+        negs = roots_at_one(params).real_negative_roots()
         if negs:
             matched = min((r.re for r in negs), key=lambda z: abs(z - profile.decay_plus))
             rel_plus = abs(profile.decay_plus - matched) / abs(matched)

@@ -74,13 +74,8 @@ class RootReport:
         reals = [r.re for r in self.roots if r.is_real]
         return max(reals) if reals else None
 
-    def real_roots(self, sign: int = 0) -> list[Root]:
-        out = [r for r in self.roots if r.is_real]
-        if sign < 0:
-            out = [r for r in out if r.re < 0]
-        elif sign > 0:
-            out = [r for r in out if r.re > 0]
-        return out
+    def real_negative_roots(self) -> list[Root]:
+        return [r for r in self.roots if r.is_real and r.re < 0]
 
     def to_json(self) -> dict:
         return {

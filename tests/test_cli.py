@@ -205,6 +205,26 @@ def test_non_finite_input_exits_2(tmp_path, argv):
     assert run(tmp_path / "out", *argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("limit-profile", "--gamma", "9", "--tau", "3", "--span", "0"),
+    ("finite-profile", "--gamma", "9", "--tau", "3", "--eps", "0.01", "--span", "-5"),
+    ("roots", "--gamma", "9", "--tau", "3", "--c", "0", "--kernel", "discrete"),
+    ("roots", "--gamma", "9", "--tau", "3", "--c", "0", "--kernel", "weak"),
+    ("overshoot", "--gamma", "9", "--tau", "710"),
+], ids=" ".join)
+def test_input_outside_the_domain_exits_2(tmp_path, argv):
+    assert run(tmp_path, *argv) == 2
+
+
+@pytest.mark.parametrize("gamma", ["2000", "100000"])
+def test_region_overshoot_at_large_gamma_clips_its_window(tmp_path, gamma):
+    assert run(tmp_path, "region", "overshoot", "--gamma", f"{gamma}:{gamma}:1") == 0
+    header, row = (tmp_path / "region-overshoot.csv").read_text().splitlines()
+    cols = dict(zip(header.split(","), map(float, row.split(","))))
+    assert math.isfinite(cols["tau_lower"])
+    assert cols["tau_lower"] < cols["tau_upper"]
+
+
 def test_outputs_are_byte_reproducible(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kolwave import discretedelay as dd
 from kolwave.discretedelay import (
     classify_oscillation,
     crossings_from_samples,
@@ -47,7 +48,7 @@ def test_limit_profile_left_decay_is_unit_rate(limit_9_3):
 
 
 def test_limit_profile_right_decay_matches_characteristic_root(limit_9_3):
-    roots = delay_char_roots(9.0, 3.0, 0.0).real_roots(-1)
+    roots = delay_char_roots(9.0, 3.0, 0.0).real_negative_roots()
     dominant = max(r.re for r in roots)
     assert limit_9_3.decay_plus == pytest.approx(dominant, rel=0.05)
 
@@ -123,6 +124,54 @@ def test_overshoot_region_triangular_corner():
     assert 0.0 < tau_low[1] < tau_up[1]
     assert overshoot_bound(9.0, tau_low[1] + 5e-3) > 1.0
     assert overshoot_bound(9.0, tau_low[1] - 5e-3) <= 1.0
+
+
+def _scan_then_bisect_edge(g: float, tol: float) -> float:
+    """The edge search overshoot_region used before lower_edge: a 64-point
+    scan of the window, then bisection of the first bracket that certifies."""
+    hi = (1.0 + g) / math.e * (1.0 - 1e-9)
+    prev = 0.0
+    for t in np.linspace(hi / 64.0, hi, 64):
+        if dd.overshoot_bound(g, float(t)) > 1.0:
+            lo_b, hi_b = prev, float(t)
+            while hi_b - lo_b > tol:
+                mid = 0.5 * (lo_b + hi_b)
+                if dd.overshoot_bound(g, mid) > 1.0:
+                    hi_b = mid
+                else:
+                    lo_b = mid
+            return 0.5 * (lo_b + hi_b)
+        prev = float(t)
+    return math.nan
+
+
+def test_overshoot_region_matches_scan_with_fewer_bound_calls(monkeypatch):
+    calls = [0]
+    bound = dd.overshoot_bound
+
+    def counted(gamma, tau):
+        calls[0] += 1
+        return bound(gamma, tau)
+
+    monkeypatch.setattr(dd, "overshoot_bound", counted)
+    rng = np.random.default_rng(17)
+    for g in [1.0, 10.0, *rng.uniform(1.0, 10.0, size=4)]:
+        calls[0] = 0
+        expected = _scan_then_bisect_edge(float(g), 1e-3)
+        scan_calls = calls[0]
+        calls[0] = 0
+        (edge,) = overshoot_region([g], tol=1e-3).columns["tau_lower"]
+        assert calls[0] < scan_calls
+        if math.isnan(expected):
+            assert math.isnan(edge)
+        else:
+            assert edge == pytest.approx(expected, abs=1e-12)
+
+
+def test_overshoot_bound_rejects_a_delay_whose_exponential_overflows():
+    assert overshoot_bound(9.0, dd._TAU_MAX) > 1.0
+    with pytest.raises(PreconditionError):
+        overshoot_bound(9.0, 710.0)
 
 
 # ------------------------------------------------------------------ envelopes
@@ -256,7 +305,7 @@ def test_finite_speed_profile_structure():
 
 def test_finite_speed_decay_matches_perturbed_root():
     p = finite_speed_profile(9.0, 3.0, 0.01)
-    roots = delay_char_roots(9.0, 3.0, 0.01).real_roots(-1)
+    roots = delay_char_roots(9.0, 3.0, 0.01).real_negative_roots()
     dominant = max(r.re for r in roots)
     assert p.decay_plus == pytest.approx(dominant, rel=0.10)
 

@@ -18,6 +18,7 @@ from kolwave.numerics import (
     find_root,
     integrate_dde,
     integrate_ode,
+    lower_edge,
     maximize_scalar,
     quad_adaptive,
 )
@@ -67,7 +68,7 @@ def test_tol_domain_guard():
 
 def test_level_crossing_event_on_logistic():
     # y' = y(1-y) from 0.01 crosses 1/2 at t = ln(99)
-    ev = EventSpec("level-crossing", index=0, level=0.5, direction="up")
+    ev = EventSpec("level-crossing", level=0.5, direction="up")
     traj, events = integrate_ode(
         lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10, events=[ev]
     )
@@ -77,7 +78,7 @@ def test_level_crossing_event_on_logistic():
 
 
 def test_event_times_are_reproducible_bitwise():
-    ev = EventSpec("level-crossing", index=0, level=0.5, direction="up")
+    ev = EventSpec("level-crossing", level=0.5, direction="up")
     times = []
     for _ in range(2):
         _, events = integrate_ode(
@@ -92,14 +93,14 @@ def test_extremum_event_on_sine():
     def f(t, y):
         return np.array([math.cos(t)])
 
-    ev = EventSpec("derivative-sign-change", index=0, direction="down")
+    ev = EventSpec("derivative-sign-change", direction="down")
     _, events = integrate_ode(f, [0.0], (0.0, 3.0), tol=1e-10, events=[ev])
     assert len(events) == 1
     assert events[0].time == pytest.approx(math.pi / 2, abs=1e-8)
 
 
 def test_terminal_event_truncates():
-    ev = EventSpec("level-crossing", index=0, level=2.0, terminal=True)
+    ev = EventSpec("level-crossing", level=2.0, terminal=True)
     traj, events = integrate_ode(lambda t, y: y, [1.0], (0.0, 5.0), tol=1e-10, events=[ev])
     assert traj.t_end == pytest.approx(math.log(2.0), abs=1e-8)
     assert events[-1].time == pytest.approx(math.log(2.0), abs=1e-8)
@@ -287,6 +288,19 @@ def test_find_root_delay_characteristic_value():
             lo = mid
     assert root == pytest.approx(0.5 * (lo + hi), abs=1e-10)
     assert abs(f(root)) < 1e-12
+
+
+def test_lower_edge_finds_a_threshold_within_half_tol():
+    rng = np.random.default_rng(8)
+    for hi, tol in ((1.0, 1e-3), (12.5, 0.05), (3.7, 1e-9)):
+        for x0 in rng.uniform(0.0, hi, size=25):
+            edge = lower_edge(lambda t: t > x0, hi, tol)
+            assert abs(edge - x0) <= tol / 2
+
+
+def test_lower_edge_of_an_always_true_predicate_is_below_the_floor():
+    for hi in (1.0, 12.5):
+        assert 0.0 < lower_edge(lambda t: True, hi, 1e-3) < 1e-6 * hi
 
 
 def test_maximize_parabola():

@@ -9,7 +9,6 @@ from kolwave.errors import (
     DivergenceError,
     NoWindowError,
     PreconditionError,
-    UnsupportedError,
 )
 from kolwave.numerics import integrate_ode
 from kolwave import planarflow as pf
@@ -217,8 +216,6 @@ def test_certificate_fails_for_small_tau():
 
 
 def test_certificate_requires_cubic_arc():
-    with pytest.raises(UnsupportedError):
-        pf.test_function_check(40.0, 10.0, pf.TestFunction(0.12, n=2))
     with pytest.raises(PreconditionError):
         pf.test_function_check(0.5, 0.1, pf.TestFunction(0.12))
 

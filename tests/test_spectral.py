@@ -47,7 +47,7 @@ def test_kpp_roots_subcritical_error():
 def test_delay_char_two_roots_below_boundary():
     rep = delay_char_roots(9.0, 3.0, 0.0)
     assert rep.real_negative_count == 2
-    z2, z1 = sorted(r.re for r in rep.real_roots(-1))
+    z2, z1 = sorted(r.re for r in rep.real_negative_roots())
     # larger root satisfies the defining relation z = -exp(-3z)/10
     assert z1 == pytest.approx(-math.exp(-3.0 * z1) / 10.0, abs=1e-10)
     # tangency point separates them
@@ -70,8 +70,8 @@ def test_delay_char_double_root_on_boundary():
 
 
 def test_delay_char_small_eps_continuation():
-    base = sorted(r.re for r in delay_char_roots(9.0, 3.0, 0.0).real_roots(-1))
-    pert = sorted(r.re for r in delay_char_roots(9.0, 3.0, 0.01).real_roots(-1))
+    base = sorted(r.re for r in delay_char_roots(9.0, 3.0, 0.0).real_negative_roots())
+    pert = sorted(r.re for r in delay_char_roots(9.0, 3.0, 0.01).real_negative_roots())
     assert len(pert) == 2
     for z0, ze in zip(base, pert):
         assert abs(ze - z0) / abs(z0) < 0.10
@@ -82,7 +82,7 @@ def test_delay_char_separation_property_across_parameters():
         if tau >= (1 + gamma) / math.e:
             continue
         rep = delay_char_roots(gamma, tau, 0.0)
-        z2, z1 = sorted(r.re for r in rep.real_roots(-1))
+        z2, z1 = sorted(r.re for r in rep.real_negative_roots())
         assert z2 < -1.0 / tau < z1 < 0
 
 
@@ -91,7 +91,7 @@ def test_delay_char_separation_property_across_parameters():
 
 def test_weak_quartic_known_roots_at_infinite_speed():
     rep = weak_char_roots(40.0, 10.0, 0.0)
-    zs = sorted(r.re for r in rep.real_roots(-1))
+    zs = sorted(r.re for r in rep.real_negative_roots())
     assert zs[0] == pytest.approx(-0.057809, abs=1e-6)
     assert zs[1] == pytest.approx(-0.042191, abs=1e-6)
     assert rep.classification == "node"
@@ -155,8 +155,8 @@ def test_roots_at_one_matches_delay_characteristic_after_scaling():
     params = WaveParams(GrowthModel.food_limited(gamma), Kernel.discrete(tau), c)
     rep = roots_at_one(params)
     scaled = delay_char_roots(gamma, tau, c ** -2)
-    zs = sorted(r.re for r in rep.real_roots(-1))
-    ws = sorted(r.re for r in scaled.real_roots(-1))
+    zs = sorted(r.re for r in rep.real_negative_roots())
+    ws = sorted(r.re for r in scaled.real_negative_roots())
     assert len(zs) == len(ws) == 2
     for z, w in zip(zs, ws):
         assert z * c == pytest.approx(w, rel=1e-8)
