@@ -26,15 +26,16 @@ from .errors import (
     UnsupportedError,
 )
 from .models import GrowthModel
-from .numerics import EventSpec, find_root, integrate_dde, lower_edge, maximize_scalar
+from .numerics import EventSpec, integrate_dde, lower_edge, maximize_scalar
 from .profiles import (
-    MONOTONE,
-    NON_MONOTONE,
+    EPS_MAX,
     OSCILLATING,
     OVERSHOOT_EPS,
     Profile,
     RegionCurve,
     build_profile,
+    classify_shape,
+    crossings_of_one,
     significant_crossings,
 )
 
@@ -47,68 +48,77 @@ __all__ = [
     "envelope_margins",
     "OscillationReport",
     "classify_oscillation",
-    "crossings_from_samples",
 ]
 
 _AMPLITUDE = 1e-6  # size of the launch history at t = 0
-_EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
 _TAU_MAX = math.log(sys.float_info.max)  # largest tau whose e^tau is a float
 
 
-def crossings_from_samples(ts, values) -> list[float]:
-    """Times where the sampled profile crosses the level 1, interpolated."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    out = []
-    for i in range(len(ts) - 1):
-        v0, v1 = values[i] - 1.0, values[i + 1] - 1.0
-        if v0 == 0.0:
-            out.append(float(ts[i]))
-        elif (v0 < 0) != (v1 < 0):
-            out.append(float(ts[i] - v0 * (ts[i + 1] - ts[i]) / (v1 - v0)))
-    return out
-
-
-def _history_rate(tau: float) -> float:
-    """Positive root of r = exp(-r*tau); the launch-history exponent."""
-    return find_root(lambda r: r - math.exp(-r * tau), (1e-12, 1.0 + 1e-9), 1e-14)
-
-
-def _integrate_kinetics(field, tau, history, history_deriv, span_length, tol, cap_eps):
-    """Chunked method-of-steps run until the solution settles within cap_eps
-    of 1 over a whole chunk, or the span is exhausted."""
+def _shoot(gamma: float, tau: float, eps: float, span_length: float,
+           tol: float) -> Profile:
+    """Connection from 0 to 1 of the delay kinetics at eps = 1/c^2 (eps = 0
+    is the limit kinetics), by a chunked method-of-steps run from the
+    history A*e^(lam*t) until the solution settles within cap_eps of 1 over
+    a whole chunk; a run that exhausts the span is flagged
+    "unresolved-tail".  lam is the slow root of eps*z^2 - z + 1 = 0, the
+    growth rate of the kinetics linearised at 0 (1 at eps = 0)."""
+    if not 0.0 <= eps <= EPS_MAX:
+        raise PreconditionError(f"eps must lie in [0, {EPS_MAX}]")
+    if gamma < 0 or not tau > 0:
+        raise PreconditionError("need gamma >= 0 and tau > 0")
     if not span_length > 0:
         raise PreconditionError(f"span must be positive, got {span_length}")
+    growth = GrowthModel.food_limited(gamma)
+    lam = 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * eps))
+    cap_eps = max(10.0 * tol, 1e-9)
+
+    def history(t):
+        return np.array([_AMPLITUDE * math.exp(lam * t)])
+
+    def history_deriv(t):
+        return np.array([lam * _AMPLITUDE * math.exp(lam * t)])
+
+    if eps == 0.0:
+        def field(t, y, lag):
+            return np.array([y[0] * growth.g(lag.value[0])])
+    else:
+        def field(t, y, lag):
+            g = growth.g(lag.value[0])
+            gp = growth.g_prime(lag.value[0])
+            denom = 1.0 - eps * g
+            if denom < 0.5:
+                raise FieldEvaluationError("slow-manifold slaving lost dominance")
+            return np.array([(y[0] * g + eps * y[0] * gp * lag.slope[0]) / denom])
+
     chunk = max(5.0 * tau, 10.0)
     events = [EventSpec("level-crossing", level=1.0)]
     t_lo = 0.0
     composite = None
     crossings: list[float] = []
     captured = False
-    while t_lo < span_length and not captured:
-        t_hi = min(t_lo + chunk, span_length)
-        composite, evs = integrate_dde(
-            field, tau, history, (t_lo, t_hi), tol, events,
-            history_deriv=history_deriv, prior=composite,
-        )
-        crossings += [ev.time for ev in evs]
-        probe = np.linspace(t_lo, composite.t_end, 257)
-        if np.max(np.abs(composite.sample(probe)[:, 0] - 1.0)) < cap_eps:
-            captured = True
-        t_lo = composite.t_end
-    return composite, crossings, captured
+    try:
+        while t_lo < span_length and not captured:
+            t_hi = min(t_lo + chunk, span_length)
+            composite, evs = integrate_dde(
+                field, tau, history, (t_lo, t_hi), tol, events,
+                history_deriv=history_deriv, prior=composite,
+            )
+            crossings += [ev.time for ev in evs]
+            probe = np.linspace(t_lo, composite.t_end, 257)
+            captured = bool(np.max(np.abs(composite.sample(probe)[:, 0] - 1.0)) < cap_eps)
+            t_lo = composite.t_end
+    except (DivergenceError, FieldEvaluationError) as exc:
+        if eps == 0.0:
+            raise
+        raise StiffShootingError(
+            f"slow-manifold shooting failed at eps={eps}; "
+            f"try smaller eps or tighter tol ({exc})") from exc
 
-
-def _sample_profile(composite, tau, crossings, captured, cap_eps) -> Profile:
-    """The run sampled on a uniform grid up to its end, with lag window tau;
-    a run that never settled is flagged "unresolved-tail"."""
     t_end = composite.t_end
     dt = max(t_end / 20000.0, min(tau / 64.0, 0.05))
-    n = int(t_end / dt) + 1
-    ts = np.linspace(0.0, t_end, n)
-    values = composite.sample(ts)[:, 0]
+    ts = np.linspace(0.0, t_end, int(t_end / dt) + 1)
     return build_profile(
-        ts, values, crossings=crossings, h=tau,
+        ts, composite.sample(ts)[:, 0], crossings=crossings, h=tau,
         flags=() if captured else ("unresolved-tail",),
         amplitude=_AMPLITUDE,
         plus_window=(max(30.0 * cap_eps, 1e-8), 1e-3),
@@ -125,24 +135,7 @@ def limit_profile(gamma: float, tau: float, span_length: float = 400.0,
     spacing checks.  A run that exhausts the span is flagged
     "unresolved-tail".
     """
-    if gamma < 0 or not tau > 0:
-        raise PreconditionError("need gamma >= 0 and tau > 0")
-    growth = GrowthModel.food_limited(gamma)
-    rate = _history_rate(tau)
-    cap_eps = max(10.0 * tol, 1e-9)
-
-    def history(t):
-        return np.array([_AMPLITUDE * math.exp(rate * t)])
-
-    def history_deriv(t):
-        return np.array([rate * _AMPLITUDE * math.exp(rate * t)])
-
-    def field(t, y, lag):
-        return np.array([y[0] * growth.g(lag.value[0])])
-
-    composite, crossings, captured = _integrate_kinetics(
-        field, tau, history, history_deriv, span_length, tol, cap_eps)
-    return _sample_profile(composite, tau, crossings, captured, cap_eps)
+    return _shoot(gamma, tau, 0.0, span_length, tol)
 
 
 def finite_speed_profile(gamma: float, tau: float, eps: float,
@@ -157,36 +150,7 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
     """
     if eps == 0.0:
         return limit_profile(gamma, tau, span_length, tol)
-    if not (0.0 < eps <= _EPS_MAX):
-        raise PreconditionError(f"eps must lie in (0, {_EPS_MAX}]")
-    if gamma < 0 or not tau > 0:
-        raise PreconditionError("need gamma >= 0 and tau > 0")
-    growth = GrowthModel.food_limited(gamma)
-    lam = (1.0 - math.sqrt(1.0 - 4.0 * eps)) / (2.0 * eps)
-    cap_eps = max(10.0 * tol, 1e-9)
-
-    def history(t):
-        return np.array([_AMPLITUDE * math.exp(lam * t)])
-
-    def history_deriv(t):
-        return np.array([lam * _AMPLITUDE * math.exp(lam * t)])
-
-    def field(t, y, lag):
-        g = growth.g(lag.value[0])
-        gp = growth.g_prime(lag.value[0])
-        denom = 1.0 - eps * g
-        if denom < 0.5:
-            raise FieldEvaluationError("slow-manifold slaving lost dominance")
-        return np.array([(y[0] * g + eps * y[0] * gp * lag.slope[0]) / denom])
-
-    try:
-        composite, crossings, captured = _integrate_kinetics(
-            field, tau, history, history_deriv, span_length, tol, cap_eps)
-    except (DivergenceError, FieldEvaluationError) as exc:
-        raise StiffShootingError(
-            f"slow-manifold shooting failed at eps={eps}; "
-            f"try smaller eps or tighter tol ({exc})") from exc
-    return _sample_profile(composite, tau, crossings, captured, cap_eps)
+    return _shoot(gamma, tau, eps, span_length, tol)
 
 
 def overshoot_bound(gamma: float, tau: float) -> float:
@@ -319,8 +283,8 @@ class OscillationReport:
     eventually_monotone: bool
     inconclusive: bool
     crossings: tuple[float, ...]
-    spacing_ok: bool | None = None          # Q_{j+2} - Q_j >= h for all j
-    single_extremum_ok: bool | None = None  # one critical point per crossing gap
+    spacing_ok: bool | None          # Q_{j+2} - Q_j >= h for all j (None unless oscillating)
+    single_extremum_ok: bool | None  # one critical point per crossing gap
 
     @property
     def certified_slow(self) -> bool:
@@ -347,9 +311,8 @@ def classify_oscillation(profile: Profile, h: float) -> OscillationReport:
     crossings (Q_{j+2} - Q_j >= h) and exactly one critical point separates
     consecutive crossings."""
     ts, vs = profile.ts, profile.values
-    cross = list(profile.crossings) or crossings_from_samples(ts, vs)
-    sig = significant_crossings(ts, vs, cross)
-    inconclusive = "unresolved-tail" in profile.flags
+    sig = significant_crossings(ts, vs, list(profile.crossings) or crossings_of_one(ts, vs))
+    shape = classify_shape(sig, float(np.max(vs)))
 
     tail_start = sig[-1] if sig else ts[0]
     tail = vs[ts >= tail_start]
@@ -357,24 +320,13 @@ def classify_oscillation(profile: Profile, h: float) -> OscillationReport:
     drops = np.diff(dist) <= max(1e-12, OVERSHOOT_EPS * 1e-3)
     eventually_monotone = bool(len(dist) > 4 and np.all(drops[len(drops) // 2:]))
 
-    if len(sig) >= 2:
+    spacing_ok = single_ok = None
+    if shape == OSCILLATING:
         spacing_ok = all(sig[j + 2] - sig[j] >= h - 1e-9 for j in range(len(sig) - 2))
-        single_ok = True
-        for q0, q1 in zip(sig[:-1], sig[1:]):
-            inner = (ts > q0) & (ts < q1)
-            n_ext = len(_extrema_times(ts[inner], vs[inner]))
-            if n_ext != 1:
-                single_ok = False
-                break
-        return OscillationReport(
-            shape=OSCILLATING, eventually_monotone=eventually_monotone,
-            inconclusive=inconclusive, crossings=tuple(sig),
-            spacing_ok=spacing_ok, single_extremum_ok=single_ok,
-        )
-
-    sup = float(np.max(vs))
-    shape = NON_MONOTONE if sup > 1.0 + OVERSHOOT_EPS else MONOTONE
+        gaps = ((ts > q0) & (ts < q1) for q0, q1 in zip(sig[:-1], sig[1:]))
+        single_ok = all(len(_extrema_times(ts[m], vs[m])) == 1 for m in gaps)
     return OscillationReport(
         shape=shape, eventually_monotone=eventually_monotone,
-        inconclusive=inconclusive, crossings=tuple(sig),
+        inconclusive="unresolved-tail" in profile.flags, crossings=tuple(sig),
+        spacing_ok=spacing_ok, single_extremum_ok=single_ok,
     )

@@ -457,10 +457,7 @@ def integrate_dde(
             return Lag(hist(s), hist_d(s))
         if len(ts) == 1 or s >= ts[-1]:
             return Lag(ys[-1].copy(), fs[-1].copy())
-        # lag queries trail the live end by at most the lag: scan backward
-        i = len(ts) - 2
-        while i > 0 and ts[i] > s:
-            i -= 1
+        i = bisect.bisect_right(ts, s) - 1  # ts[0] < s < ts[-1]: an interior node
         seg = (s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
         return Lag(_hermite(*seg), _hermite_deriv(*seg))
 
@@ -570,7 +567,7 @@ def maximize_scalar(f, interval, tol: float = 1e-9, scan_points: int = 64):
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError("interval must be increasing")
-    xs = np.linspace(a, b, scan_points)
+    xs = np.linspace(a, b, scan_points).tolist()  # Python floats: overflow gives inf silently
     vals = [f(x) for x in xs]
     i_best = int(np.argmax(vals))
     best_x, best_v = float(xs[i_best]), vals[i_best]

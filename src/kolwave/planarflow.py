@@ -30,7 +30,7 @@ from .errors import (
     StiffShootingError,
 )
 from .numerics import EventSpec, cubic_real_roots, integrate_ode, lower_edge
-from .profiles import OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
+from .profiles import EPS_MAX, OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
 
 __all__ = [
     "FlowField",
@@ -51,7 +51,6 @@ __all__ = [
     "boundary_region",
 ]
 
-_EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
 _N_SAMPLES = 4000  # uniform samples of a connection's profile
 _N_GRID = 256  # interior coefficients a tried per delay by the certificate search
 
@@ -138,9 +137,7 @@ class HeteroclinicResult:
     shape: str
     phi_max: float
     entry_direction: np.ndarray
-    crossings_of_one: tuple[float, ...]
     captured: bool
-    capture_time: float | None
 
 
 def _slow_rate_at_one(gamma: float, tau: float) -> float:
@@ -236,9 +233,7 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
         shape=OSCILLATING if focus and prof.crossings else prof.shape,
         phi_max=phi_max,
         entry_direction=entry,
-        crossings_of_one=prof.crossings,
         captured=captured,
-        capture_time=capture_time,
     )
 
 
@@ -273,8 +268,8 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
     """
     if eps == 0.0:
         return heteroclinic(gamma, tau, start_amplitude, tol)
-    if not (0.0 < eps <= _EPS_MAX):
-        raise PreconditionError(f"eps must lie in (0, {_EPS_MAX}]")
+    if not (0.0 < eps <= EPS_MAX):
+        raise PreconditionError(f"eps must lie in (0, {EPS_MAX}]")
     field = flow_field(gamma, tau)
     eye = np.eye(2)
 

@@ -22,6 +22,7 @@ __all__ = [
     "Profile",
     "RegionCurve",
     "classify_shape",
+    "crossings_of_one",
     "significant_crossings",
     "fit_decay",
     "fmt_float",
@@ -34,6 +35,7 @@ NON_MONOTONE = "non-monotone-non-oscillating"
 OSCILLATING = "oscillating"
 
 OVERSHOOT_EPS = 1e-6  # relative excursion above 1 that counts as genuine
+EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
 _FIT_DECADES = 2.0  # decades a right-tail decay fit must span
 
 
@@ -61,6 +63,18 @@ def write_csv(path: Path | str, header: Sequence[str], rows) -> None:
     Path(path).write_text(",".join(header) + "\n" + format_rows(line, table))
 
 
+def crossings_of_one(ts, values) -> list[float]:
+    """Times where the sampled values cross the level 1, linearly
+    interpolated within the sample interval; a sample exactly on 1 is a
+    crossing at its own time."""
+    ts = np.asarray(ts, dtype=float)
+    d = np.asarray(values, dtype=float) - 1.0
+    i = np.flatnonzero((d[:-1] == 0.0) | ((d[:-1] < 0) != (d[1:] < 0)))
+    d0 = d[i]
+    rise = np.where(d0 == 0.0, 1.0, d[i + 1] - d0)  # on the level the step is 0 anyway
+    return (ts[i] - d0 * (ts[i + 1] - ts[i]) / rise).tolist()
+
+
 def significant_crossings(ts, values, crossings) -> list[float]:
     """Filter crossing times of the level 1: between consecutive crossings
     (and after the last) the excursion away from 1 must exceed
@@ -80,16 +94,15 @@ def significant_crossings(ts, values, crossings) -> list[float]:
     return kept
 
 
-def classify_shape(ts, values, crossings) -> str:
-    """Shape taxonomy of a connection from 0 to the level-1 state.
+def classify_shape(sig, sup: float) -> str:
+    """Shape taxonomy of a connection from 0 to the level-1 state, from its
+    significant crossings `sig` and its maximum `sup`.
 
     monotone: never exceeds the level beyond noise and no significant
     crossing pair; non-monotone-non-oscillating: a genuine excursion above
     the level with at most one significant crossing; oscillating: two or
     more significant crossings.
     """
-    sig = significant_crossings(ts, values, crossings)
-    sup = float(np.max(values))
     if len(sig) >= 2:
         return OSCILLATING
     if sup > 1.0 + OVERSHOOT_EPS:
@@ -221,10 +234,9 @@ class RegionCurve:
         write_csv(path, self.header(), list(self.rows()))
 
 
-def build_profile(ts: np.ndarray, values: np.ndarray, *,
-                  crossings=(), h=None, flags=(),
-                  amplitude: float,
-                  plus_window: tuple[float, float]) -> Profile:
+def build_profile(ts: np.ndarray, values: np.ndarray, *, crossings, flags,
+                  amplitude: float, plus_window: tuple[float, float],
+                  h=None) -> Profile:
     """Assemble a Profile from uniform samples, fitting both decay exponents.
 
     `amplitude` is the launch size used for the left-tail fit window;
@@ -240,13 +252,13 @@ def build_profile(ts: np.ndarray, values: np.ndarray, *,
     slope, ok = fit_decay(ts, np.abs(values - 1.0), *plus_window)
     decay_plus = slope if ok else None
 
-    shape = classify_shape(ts, values, crossings)
     sig = tuple(significant_crossings(ts, values, crossings))
+    sup = float(np.max(values))
     return Profile(
         grid=grid,
         values=values,
-        shape=shape,
-        sup=float(np.max(values)),
+        shape=classify_shape(sig, sup),
+        sup=sup,
         decay_minus=decay_minus,
         decay_plus=decay_plus,
         crossings=sig,

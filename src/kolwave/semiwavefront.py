@@ -30,7 +30,7 @@ from .errors import (
 )
 from .models import GrowthModel, Kernel, WaveParams, effective_kernel, json_field
 from .numerics import Grid, find_root
-from .profiles import Profile, build_profile
+from .profiles import Profile, build_profile, crossings_of_one
 from .spectral import kpp_roots, roots_at_one
 
 __all__ = [
@@ -456,12 +456,9 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
     res = d2 - c * d1 + phi[1:-1] * gvals[1:-1]
     residual = float(np.max(np.abs(res[i0 - 1: i1 - 1])))
 
-    s0, s1 = phi[:-1] - 1.0, phi[1:] - 1.0
-    at = np.flatnonzero((s0 == 0.0) | ((s0 < 0) != (s1 < 0)))
-    cross = (ts[at] - s0[at] * h / (s1[at] - s0[at])).tolist()
     lag = c * kernel.tau if kernel.kind == "discrete-delay" else None
     tail_floor = max(abs(phi[-1] - 1.0) * 30.0, 1e-8)
-    profile = build_profile(ts, phi, crossings=cross, h=lag,
+    profile = build_profile(ts, phi, crossings=crossings_of_one(ts, phi), h=lag,
                             flags=() if converged else ("unconverged",),
                             amplitude=max(float(phi[0]), 1e-300) * 2.0,
                             plus_window=(tail_floor, 1e-3))

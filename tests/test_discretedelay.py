@@ -8,7 +8,6 @@ import pytest
 from kolwave import discretedelay as dd
 from kolwave.discretedelay import (
     classify_oscillation,
-    crossings_from_samples,
     envelope_margins,
     finite_speed_profile,
     limit_profile,
@@ -17,7 +16,7 @@ from kolwave.discretedelay import (
 )
 from kolwave.errors import PreconditionError, UnsupportedError
 from kolwave.numerics import Grid
-from kolwave.profiles import MONOTONE, NON_MONOTONE, OSCILLATING, Profile
+from kolwave.profiles import MONOTONE, NON_MONOTONE, OSCILLATING, Profile, crossings_of_one
 from kolwave.spectral import delay_char_roots
 
 
@@ -224,10 +223,35 @@ def _synthetic_profile(ts, values, crossings=()):
                    sup=float(np.max(values)), crossings=tuple(crossings))
 
 
+def _crossings_loop(ts, values):
+    """The per-interval crossing loop crossings_of_one replaced."""
+    out = []
+    for i in range(len(ts) - 1):
+        v0, v1 = values[i] - 1.0, values[i + 1] - 1.0
+        if v0 == 0.0:
+            out.append(float(ts[i]))
+        elif (v0 < 0) != (v1 < 0):
+            out.append(float(ts[i] - v0 * (ts[i + 1] - ts[i]) / (v1 - v0)))
+    return out
+
+
+def test_crossings_of_one_equals_the_loop_and_takes_samples_on_one():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 17, 400):
+        for _ in range(25):
+            ts = np.cumsum(rng.uniform(0.01, 1.0, size=n))
+            vals = 1.0 + rng.normal(scale=0.1, size=n)
+            vals[rng.random(n) < 0.3] = 1.0  # single samples and runs on the level
+            got = crossings_of_one(ts, vals)
+            assert got == _crossings_loop(ts, vals)
+            assert not np.any(np.isnan(got))
+    assert crossings_of_one([0.0, 1.0, 2.0, 3.0], [0.5, 1.0, 1.0, 1.5]) == [1.0, 1.0, 2.0]
+
+
 def test_classify_synthetic_decayed_oscillation():
     ts = np.linspace(0.0, 14.0, 8001)
     vals = 1.0 + np.exp(-ts) * np.sin(ts)
-    prof = _synthetic_profile(ts, vals, crossings_from_samples(ts, vals))
+    prof = _synthetic_profile(ts, vals, crossings_of_one(ts, vals))
     rep = classify_oscillation(prof, h=2.0)
     assert rep.shape == OSCILLATING
     assert rep.spacing_ok  # crossings pi apart, so Q_{j+2} - Q_j = 2 pi >= 2
@@ -242,7 +266,7 @@ def test_classify_synthetic_decayed_oscillation():
 def test_classify_synthetic_fast_oscillation_fails_spacing():
     ts = np.linspace(0.0, 14.0, 8001)
     vals = 1.0 + np.exp(-0.3 * ts) * np.sin(4.0 * ts)
-    prof = _synthetic_profile(ts, vals, crossings_from_samples(ts, vals))
+    prof = _synthetic_profile(ts, vals, crossings_of_one(ts, vals))
     rep = classify_oscillation(prof, h=2.0)
     assert rep.shape == OSCILLATING
     assert rep.spacing_ok is False  # spacing pi/2 < h
@@ -260,7 +284,7 @@ def test_classify_synthetic_monotone():
 def test_classify_marks_unresolved_tail_inconclusive():
     ts = np.linspace(0.0, 10.0, 1001)
     vals = 1.0 + 0.3 * np.sin(ts)
-    prof = _synthetic_profile(ts, vals, crossings_from_samples(ts, vals))
+    prof = _synthetic_profile(ts, vals, crossings_of_one(ts, vals))
     prof.flags = ("unresolved-tail",)
     rep = classify_oscillation(prof, h=1.0)
     assert rep.inconclusive

@@ -123,7 +123,7 @@ def test_heteroclinic_overshoot_case():
     assert r.shape == NON_MONOTONE
     assert r.phi_max > 1.0
     assert r.captured
-    assert len(r.crossings_of_one) == 1
+    assert len(r.profile.crossings) == 1
     ed = eigen_directions(40.0, 10.0)
     cosang = float(np.clip(np.dot(r.entry_direction, -ed.n1), -1.0, 1.0))
     assert math.degrees(math.acos(cosang)) < 2.0
@@ -133,7 +133,7 @@ def test_heteroclinic_monotone_case():
     r = heteroclinic(40.0, 5.0)
     assert r.shape == MONOTONE
     assert r.phi_max <= 1.0 + 1e-6
-    assert len(r.crossings_of_one) == 0
+    assert len(r.profile.crossings) == 0
 
 
 def test_heteroclinic_focus_case_spirals():
@@ -141,13 +141,13 @@ def test_heteroclinic_focus_case_spirals():
     assert r.shape == OSCILLATING
     r_deep = heteroclinic(3.0, 4.0)  # far into the focus regime
     assert r_deep.shape == OSCILLATING
-    assert len(r_deep.crossings_of_one) >= 2
+    assert len(r_deep.profile.crossings) >= 2
 
 
 def test_heteroclinic_level_crossing_event_reported():
     r = heteroclinic(40.0, 10.0)
-    assert len(r.crossings_of_one) == 1
-    t_up = r.crossings_of_one[0]
+    assert len(r.profile.crossings) == 1
+    t_up = r.profile.crossings[0]
     assert r.profile(t_up) == pytest.approx(1.0, abs=1e-3)
 
 

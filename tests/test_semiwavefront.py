@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,19 @@ def test_delayed_kernel_iteration_respects_bound():
     assert res.converged
     assert res.profile.sup <= bound.U + res.slack
     assert res.profile.h == pytest.approx(2.5 * 0.6)
+
+
+def test_front_with_samples_exactly_on_one_has_finite_crossings():
+    # dozens of this front's samples equal 1.0 exactly; each is a crossing
+    # at its own time, not a 0/0 interpolation
+    params = WaveParams(GrowthModel.food_limited(1.0), Kernel.discrete(1.0), 2.2)
+    config, _ = default_config(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = iterate_front(config, params)
+    assert np.count_nonzero(res.profile.values == 1.0) > 0
+    assert len(res.profile.crossings) > 0
+    assert np.all(np.isfinite(res.profile.crossings))
 
 
 def test_weak_kernel_iteration_decay_rates():
