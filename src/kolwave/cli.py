@@ -281,6 +281,9 @@ def cmd_check_asymptotics(args, out: Path, manifest: RunManifest) -> int:
         "matched_root": rep.matched_root,
         "rel_err_plus": rep.rel_err_plus,
         "flags": list(rep.flags),
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "b": config.b,
     }
     _write_json(out / "asymptotics.json", doc)
     manifest.outputs.append("asymptotics.json")

@@ -56,7 +56,7 @@ __all__ = [
 def ramp_cutoff(u, beta: float):
     """Identity below beta, linear descent to zero at 2*beta, zero beyond."""
     u = np.asarray(u, dtype=float)
-    out = np.where(u <= beta, u, np.maximum(0.0, 2.0 * beta - u))
+    out = np.minimum(u, np.maximum(0.0, 2.0 * beta - u))
     return out if out.ndim else float(out)
 
 
@@ -215,6 +215,10 @@ class IterationConfig:
             raise PreconditionError("shift b must be positive")
         if not self.beta > 1:
             raise PreconditionError("cutoff level beta must exceed 1")
+        if self.max_iters < 1:
+            raise PreconditionError("max_iters must be at least 1")
+        if not self.tol > 0:
+            raise PreconditionError("tol must be positive")
 
     def green_rates(self, c: float) -> tuple[float, float]:
         root = math.sqrt(c * c + 4.0 * self.b)
@@ -249,13 +253,18 @@ def config_to_json(config: IterationConfig) -> dict:
 def default_config(params: WaveParams, dt: float = 0.02,
                    tol: float = 1e-9) -> tuple[IterationConfig, BoundReport]:
     """Config with the spelled-out defaults: cutoff level 1.5x the a-priori
-    bound, shift b = 2*(G(0) - min G on [0, 2*beta]) + 1, and a grid wide
+    bound, shift b = G(0) - min G on [0, 2*beta] + 1, and a grid wide
     enough that both end states are resolved to ~1e-9.  Every law the bound
-    accepts (no hump) falls on [0, inf), so that minimum is G(2*beta)."""
+    accepts (no hump) falls on [0, inf), so that minimum is G(2*beta) < 0.
+
+    The iteration is monotone when b*u + ramp_cutoff(u)*G(psi) is
+    nondecreasing in u for u, psi in [0, 2*beta]; ramp_cutoff has slope +-1,
+    so that needs b >= max(G(0), -G(2*beta)), which G(0) - G(2*beta) covers
+    with a margin of 1."""
     growth, c = params.growth, params.c
     bound = apriori_bound(c, params.kernel, growth)
     beta = 1.5 * bound.U
-    b = 2.0 * (growth.g0 - growth.g(2.0 * beta)) + 1.0
+    b = growth.g0 - growth.g(2.0 * beta) + 1.0
 
     lam, _ = kpp_roots(c, growth.g0)
     rep = roots_at_one(params)

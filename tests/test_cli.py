@@ -139,6 +139,18 @@ def test_check_asymptotics(tmp_path):
     assert doc["rel_err_plus"] < 0.10
 
 
+def test_check_asymptotics_records_its_iteration(tmp_path):
+    argv = ("--model", "food", "--gamma", "2", "--kernel", "dirac", "--c", "2.5",
+            "--dt", "0.05")
+    assert run(tmp_path / "ca", "check-asymptotics", *argv) == 0
+    assert run(tmp_path / "it", "iterate", *argv) == 0
+    doc = json.loads((tmp_path / "ca" / "asymptotics.json").read_text())
+    front = json.loads((tmp_path / "it" / "front.json").read_text())
+    for key in ("iterations", "converged", "b"):
+        assert doc[key] == front[key]
+    assert doc["converged"] is True and doc["iterations"] >= 1
+
+
 def test_region_overshoot_curve(tmp_path):
     code = run(tmp_path, "region", "overshoot", "--gamma", "6:10:2")
     assert code == 0
@@ -290,3 +302,20 @@ def test_manifest_records_the_error_class(tmp_path):
     three = tmp_path / "three"
     assert run(three, "iterate", "--model", "kpp", "--c", "2.5", "--config", str(cfg_path)) == 3
     assert _manifest(three, "iterate")["error"] == "InvarianceBreachError"
+
+
+@pytest.mark.parametrize("field, value", [("max_iters", 0), ("tol", -1.0)])
+def test_iteration_config_that_cannot_run_exits_2(tmp_path, capsys, field, value):
+    from kolwave.models import GrowthModel, Kernel, WaveParams
+    from kolwave.semiwavefront import config_to_json, default_config
+
+    config, _ = default_config(WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5), dt=0.05)
+    doc = config_to_json(config)
+    doc[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(out, "iterate", "--model", "kpp", "--c", "2.5", "--config", str(cfg_path)) == 2
+    assert _manifest(out, "iterate")["error"] == "PreconditionError"
+    assert field in capsys.readouterr().err
+    assert not (out / "front.json").exists()

@@ -55,6 +55,28 @@ def test_ramp_cutoff_branches():
     assert np.allclose(vals[us <= 2.0], us[us <= 2.0])
 
 
+def _ramp_cutoff_where(u, beta):
+    # oracle: the np.where branch form that the min/max form replaced
+    u = np.asarray(u, dtype=float)
+    out = np.where(u <= beta, u, np.maximum(0.0, 2.0 * beta - u))
+    return out if out.ndim else float(out)
+
+
+def test_ramp_cutoff_equals_the_branch_form_bitwise():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        beta = rng.uniform(1.0, 40.0)
+        special = [-1.0, -0.0, 0.0, beta, np.nextafter(beta, 0.0), np.nextafter(beta, 4 * beta),
+                   2.0 * beta, np.nextafter(2.0 * beta, 0.0), 3.0 * beta, np.inf, -np.inf, np.nan]
+        us = np.concatenate((rng.uniform(-beta, 3.0 * beta, 500), special))
+        got, want = ramp_cutoff(us, beta), _ramp_cutoff_where(us, beta)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for u in special:
+            g, w = ramp_cutoff(float(u), beta), _ramp_cutoff_where(float(u), beta)
+            assert isinstance(g, float)
+            assert np.float64(g).view(np.uint64) == np.float64(w).view(np.uint64)
+
+
 # -------------------------------------------------------------- a-priori bound
 
 
@@ -178,7 +200,7 @@ def test_closed_form_shift_and_minorant_match_their_grid_scans():
         c = rng.uniform(2.05, 4.0) * math.sqrt(growth.g0)
         config, _ = default_config(WaveParams(growth, kernel, c), dt=0.5)
         us = np.linspace(0.0, 2.0 * config.beta, 2001)
-        assert config.b == 2.0 * (growth.g0 - float(np.min(growth.g(us)))) + 1.0
+        assert config.b == (growth.g0 - float(np.min(growth.g(us)))) + 1.0
 
         u_max = 2.0 * config.beta
         p = growth.minorant_slope(u_max)
@@ -188,6 +210,22 @@ def test_closed_form_shift_and_minorant_match_their_grid_scans():
         assert p == pytest.approx(p_grid * (1.0 + 1e-12) + 1e-15, rel=1e-13, abs=0.0)
         vs = np.linspace(0.0, u_max, 20001)
         assert np.all(growth.g(vs) >= growth.g0 - p * vs)
+
+
+def test_shift_covers_the_slope_budget_of_every_no_hump_law():
+    # b*u + ramp(u)*G(psi) must be nondecreasing in u for u, psi in [0, 2*beta]:
+    # ramp has slope +-1, so b >= max |G| = max(G(0), -G(2*beta)), plus the
+    # margin 1; with psi = u (point mass) the term u*G'(u) must be covered too
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        growth = _random_no_hump_law(rng)
+        c = rng.uniform(2.05, 4.0) * math.sqrt(growth.g0)
+        config, _ = default_config(WaveParams(growth, Kernel.dirac(), c), dt=0.5)
+        b, beta = config.b, config.beta
+        us = np.linspace(0.0, 2.0 * beta, 4001)
+        assert b >= float(np.max(np.abs(growth.g(us)))) + 1.0
+        vals = b * us + ramp_cutoff(us, beta) * growth.g(us)
+        assert np.all(np.diff(vals) >= 0.0)
 
 
 # ------------------------------------------------------------- the iteration
@@ -232,16 +270,18 @@ def test_residual_decreases_under_grid_refinement():
     assert res_fine.residual < res_coarse.residual
 
 
-def test_green_operator_monotone_on_sandwich_pairs():
+@pytest.mark.parametrize("growth", [GrowthModel.kpp(), GrowthModel.food_limited(2.0),
+                                    GrowthModel.quadratic(1.0, -0.5)],
+                         ids=["kpp", "food2", "quad"])
+def test_green_operator_monotone_on_sandwich_pairs(growth):
     # point-mass kernel at 0: the operator's integrand is nondecreasing in
     # the profile once the shift exceeds the growth-slope budget
-    params = kpp_params()
+    params = WaveParams(growth, Kernel.dirac(), 2.5)
     config, _ = default_config(params, dt=0.02, tol=1e-9)
     grid = config.grid
     ts = grid.nodes()
-    up = kpp_upper_solution(params.c, 1.0, config.beta)
+    up = kpp_upper_solution(params.c, growth.g0, config.beta)
     hi = up(ts)
-    growth = params.growth
     z1, z2 = config.green_rates(params.c)
 
     def a_op(phi):
