@@ -246,7 +246,7 @@ def cmd_region(args, out: Path, manifest: RunManifest) -> int:
 def _iteration_config(args, params):
     if args.config:
         return semiwavefront.config_from_json(_read_json(args.config, "iteration config"))
-    return semiwavefront.default_config(params, dt=args.dt, tol=args.tol)[0]
+    return semiwavefront.default_config(params, dt=args.dt, tol=args.tol)
 
 
 def cmd_iterate(args, out: Path, manifest: RunManifest) -> int:
@@ -322,16 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, tol):
+    def common(p, tol=None):
         p.add_argument("--out", default="out")
-        p.add_argument("--tol", type=finite_float, default=tol)
+        if tol is not None:
+            p.add_argument("--tol", type=finite_float, default=tol)
 
     p = sub.add_parser("roots", help="characteristic roots at the positive state")
     p.add_argument("--gamma", type=finite_float, required=True)
     p.add_argument("--tau", type=finite_float, required=True)
     p.add_argument("--kernel", default="discrete", choices=("discrete", "weak"))
     p.add_argument("--c", type=finite_float, default=1e6)
-    common(p, 1e-10)
+    common(p)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("heteroclinic", help="planar kinetics connection")
@@ -367,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overshoot", help="closed-form overshoot lower bound")
     p.add_argument("--gamma", type=finite_float, required=True)
     p.add_argument("--tau", type=finite_float, required=True)
-    common(p, 1e-10)
+    common(p)
     p.set_defaults(fn=cmd_overshoot)
 
     p = sub.add_parser("test-function", help="cubic comparison-arc certificate")
     p.add_argument("--gamma", type=finite_float, required=True)
     p.add_argument("--tau", type=finite_float, required=True)
     p.add_argument("--a", type=finite_float, required=True)
-    common(p, 1e-10)
+    common(p)
     p.set_defaults(fn=cmd_test_function)
 
     p = sub.add_parser("region", help="parameter-plane boundary sweep")

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedError,
 )
 from .models import GrowthModel
-from .numerics import EventSpec, integrate_dde, lower_edge, maximize_scalar
+from .numerics import integrate_dde, lower_edge, maximize_scalar
 from .profiles import (
     EPS_MAX,
     OSCILLATING,
@@ -91,7 +91,6 @@ def _shoot(gamma: float, tau: float, eps: float, span_length: float,
             return np.array([(y[0] * g + eps * y[0] * gp * lag.slope[0]) / denom])
 
     chunk = max(5.0 * tau, 10.0)
-    events = [EventSpec("level-crossing", level=1.0)]
     t_lo = 0.0
     composite = None
     crossings: list[float] = []
@@ -99,11 +98,11 @@ def _shoot(gamma: float, tau: float, eps: float, span_length: float,
     try:
         while t_lo < span_length and not captured:
             t_hi = min(t_lo + chunk, span_length)
-            composite, evs = integrate_dde(
-                field, tau, history, (t_lo, t_hi), tol, events,
+            composite, (level,) = integrate_dde(
+                field, tau, history, (t_lo, t_hi), tol, [lambda t, y: y[0] - 1.0],
                 history_deriv=history_deriv, prior=composite,
             )
-            crossings += [ev.time for ev in evs]
+            crossings += level
             probe = np.linspace(t_lo, composite.t_end, 257)
             captured = bool(np.max(np.abs(composite.sample(probe)[:, 0] - 1.0)) < cap_eps)
             t_lo = composite.t_end

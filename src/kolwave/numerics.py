@@ -26,8 +26,6 @@ from .errors import (
 
 __all__ = [
     "Grid",
-    "Event",
-    "EventSpec",
     "Trajectory",
     "DdeTrajectory",
     "Lag",
@@ -42,6 +40,8 @@ __all__ = [
 
 _EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
 _MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
+
+Gauge = Callable[[float, np.ndarray], float]  # an event is a sign change of g(t, y)
 
 
 @dataclass(frozen=True)
@@ -64,41 +64,6 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
-
-
-@dataclass(frozen=True)
-class Event:
-    kind: str  # "level-crossing" | "derivative-sign-change"
-    time: float
-    direction: str  # "up" | "down"
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """What to watch for during integration.
-
-    kind "level-crossing" fires when the first component crosses `level`;
-    kind "derivative-sign-change" fires when the first field component
-    changes sign (a local extremum of that component).  `direction` filters
-    to "up" (- to +), "down", or "any".  A terminal event stops the
-    integration at the refined event time.
-    """
-
-    kind: str
-    level: float = 0.0
-    direction: str = "any"
-    terminal: bool = False
-    fn: Callable[[float, np.ndarray], float] | None = None  # custom scalar g(t, y)
-
-    def gauge(self, field_fn) -> Callable[[float, np.ndarray], float]:
-        if self.fn is not None:
-            return self.fn
-        if self.kind == "level-crossing":
-            lvl = self.level
-            return lambda t, y: y[0] - lvl
-        if self.kind == "derivative-sign-change":
-            return lambda t, y: field_fn(t, y)[0]
-        raise PreconditionError(f"unknown event kind {self.kind!r}")
 
 
 class Lag(NamedTuple):
@@ -257,44 +222,33 @@ def _refine_event(gauge, traj_eval, lo, hi, glo, ghi):
     return 0.5 * (lo + hi)
 
 
-def _scan_events(events, gauges, g_prev, found, seg_eval, t, t_new, y_new):
-    """Record the events of the accepted step [t, t_new] in `found`.
-
-    Returns the earliest terminal event time, with `found` trimmed to it,
-    or None."""
-    first_terminal: float | None = None
-    for idx, (ev, g) in enumerate(zip(events, gauges)):
-        g0 = g_prev[idx]
-        g1 = g_prev[idx] = g(t_new, y_new)
-        if g0 == 0.0 or (g0 < 0) == (g1 < 0):
-            continue
-        direction = "up" if g0 < 0 else "down"
-        if ev.direction != "any" and ev.direction != direction:
-            continue
-        te = _refine_event(g, seg_eval, t, t_new, g0, g1)
-        found.append(Event(ev.kind, te, direction))
-        if ev.terminal:
-            first_terminal = te if first_terminal is None else min(first_terminal, te)
-    if first_terminal is not None:
-        found[:] = [e for e in found if e.time <= first_terminal + _EVENT_TIME_TOL]
-    return first_terminal
+def _checked_gauge(gauge: Gauge) -> Gauge:
+    def checked(t, y):
+        g = gauge(t, y)
+        if not math.isfinite(g):
+            raise FieldEvaluationError(f"event gauge returned non-finite value at t={t}")
+        return g
+    return checked
 
 
-def _march(attempt, field, ts, ys, fs, t1, h, events, breakpoints=()):
+def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
     """The adaptive stepping loop shared by both integrators.
 
     Extends the accepted nodes `ts`, `ys`, `fs` (field values) in place up to
-    t1 or a terminal event, and returns the time-sorted events.
+    t1 or the first zero of `stop`, and returns one ascending list of zero
+    times per gauge in `events`, then the stop gauge's list when it is given;
+    zeros past the stop time are dropped.
     `attempt(t, y, f, h)` makes one trial step and returns what `_dp_step`
     does, with err None when the step must be halved.
     Steps are clipped to t1 and the next breakpoint; a step that would leave
     a sliver shorter than the step floor before t1 ends at t1.
     """
-    checked = lambda tt, yy: _eval_field(field, tt, yy)
-    gauges = [ev.gauge(checked) for ev in events]
+    gauges = [_checked_gauge(g) for g in events]
+    if stop is not None:
+        gauges.append(_checked_gauge(stop))
     t, y, f = ts[-1], ys[-1], fs[-1]
     g_prev = [g(t, y) for g in gauges]
-    found: list[Event] = []
+    times: list[list[float]] = [[] for _ in gauges]
     steps = 0
     while t < t1:
         steps += 1
@@ -320,16 +274,23 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, breakpoints=()):
         ys.append(y_new.copy())
         fs.append(f_new.copy())
         seg_eval = lambda tt: _hermite(tt, t, t_new, y, y_new, f, f_new)
-        te = _scan_events(events, gauges, g_prev, found, seg_eval, t, t_new, y_new)
-        if te is not None:
-            # truncate the step at the earliest terminal event
+        for i, g in enumerate(gauges):
+            g0 = g_prev[i]
+            g1 = g_prev[i] = g(t_new, y_new)
+            if g0 != 0.0 and (g0 < 0) != (g1 < 0):
+                times[i].append(_refine_event(g, seg_eval, t, t_new, g0, g1))
+        if stop is not None and times[-1]:
+            # truncate the step at the stop time
+            te = times[-1][0]
+            for zeros in times[:-1]:
+                zeros[:] = [z for z in zeros if z <= te + _EVENT_TIME_TOL]
             ts[-1] = te
             ys[-1] = seg_eval(te)
-            fs[-1] = checked(te, ys[-1])
+            fs[-1] = _eval_field(field, te, ys[-1])
             break
         t, y, f = t_new, ys[-1], fs[-1]
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
-    return sorted(found, key=lambda e: e.time)
+    return times
 
 
 def integrate_ode(
@@ -337,13 +298,15 @@ def integrate_ode(
     state0,
     span,
     tol: float = 1e-8,
-    events: Sequence[EventSpec] = (),
+    events: Sequence[Gauge] = (),
+    stop: Gauge | None = None,
 ):
     """Integrate y' = field(t, y) over span with adaptive 5(4) stepping.
 
-    Returns (trajectory, events) where trajectory is dense output and events
-    are the refined, time-sorted crossings requested by `events`.  A terminal
-    event truncates the trajectory at the event time.
+    Returns (trajectory, times): the dense output, and one ascending list of
+    refined sign-change times per gauge g(t, y) in `events`, followed by the
+    list of `stop` when it is given.  The first sign change of `stop`
+    truncates the trajectory there.
     """
     t0, t1 = _check_span(span, tol)
     y = np.atleast_1d(np.asarray(state0, dtype=float)).copy()
@@ -357,8 +320,8 @@ def integrate_ode(
 
     attempt = lambda t, y, f, h: _dp_step(field, t, y, f, h, tol)
     ts, ys, fs = [t0], [y], [f]
-    found = _march(attempt, field, ts, ys, fs, t1, min(h, t1 - t0), events)
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs)), found
+    times = _march(attempt, field, ts, ys, fs, t1, min(h, t1 - t0), events, stop)
+    return Trajectory(np.array(ts), np.array(ys), np.array(fs)), times
 
 
 class DdeTrajectory:
@@ -414,7 +377,8 @@ def integrate_dde(
     history,
     span,
     tol: float = 1e-8,
-    events: Sequence[EventSpec] = (),
+    events: Sequence[Gauge] = (),
+    stop: Gauge | None = None,
     *,
     history_deriv,
     prior: DdeTrajectory | None = None,
@@ -501,13 +465,13 @@ def integrate_dde(
                 return y_new, f_new, err, sc
         return y_new, f_new, None, sc
 
-    found = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
-                   events, breakpoints)
+    times = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
+                   events, stop, breakpoints)
     traj = Trajectory(np.array(ts), np.array(ys), np.array(fs))
     if prior is not None:
         return DdeTrajectory(prior.t_start, prior.history, prior.history_deriv,
-                             prior.segments + [traj]), found
-    return DdeTrajectory(t0, hist, hist_d, [traj]), found
+                             prior.segments + [traj]), times
+    return DdeTrajectory(t0, hist, hist_d, [traj]), times
 
 
 def find_root(f, bracket, tol: float = 1e-12) -> float:

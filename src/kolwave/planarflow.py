@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     StiffShootingError,
 )
-from .numerics import EventSpec, cubic_real_roots, integrate_ode, lower_edge
+from .numerics import cubic_real_roots, integrate_ode, lower_edge
 from .profiles import EPS_MAX, OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
 
 __all__ = [
@@ -167,7 +167,7 @@ def _contraction_matrix(jac: np.ndarray) -> np.ndarray:
 def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     """Integrate from the origin's unstable tangent until capture at (1, 1).
 
-    Capture is a terminal event at distance 10*tol from the equilibrium,
+    Capture stops the run at distance 10*tol from the equilibrium,
     certified by the contraction quadratic form of the linearization.
 
     In the focus regime (tau > (1+gamma)/4) successive crossing excursions
@@ -185,33 +185,25 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     rate = _slow_rate_at_one(gamma, tau)
     max_span = 1.5 * (math.log(2.0 / start_amplitude) + math.log(2.0 / r_cap) / rate) + 50.0
 
-    events = [
-        EventSpec("level-crossing", level=1.0),
-        EventSpec("derivative-sign-change"),
-        EventSpec("custom-capture", fn=lambda t, y: float(np.linalg.norm(y - e)) - r_cap,
-                  direction="down", terminal=True),
-    ]
-    traj, evs = integrate_ode(rhs, y0, (0.0, max_span), tol, events=events)
+    traj, (crossings, extrema, capture) = integrate_ode(
+        rhs, y0, (0.0, max_span), tol,
+        events=[lambda t, y: y[0] - 1.0, lambda t, y: rhs(t, y)[0]],
+        stop=lambda t, y: float(np.linalg.norm(y - e)) - r_cap,
+    )
 
-    captured = False
-    capture_time = None
-    for ev in evs:
-        if ev.kind == "custom-capture":
-            captured = True
-            capture_time = ev.time
+    t_end = traj.t_end
+    captured = bool(capture)
     if captured:
         p = _contraction_matrix(jac_at_one)
-        x = traj(capture_time) - e
-        if 2.0 * x @ p @ rhs(capture_time, traj(capture_time)) >= 0:
+        x = traj(t_end) - e
+        if 2.0 * x @ p @ rhs(t_end, traj(t_end)) >= 0:
             captured = False  # not yet inside the contraction basin
 
-    t_end = capture_time if captured else traj.t_end
     ts = np.linspace(0.0, t_end, _N_SAMPLES)
     samples = traj.sample(ts)
     phi, psi = samples[:, 0], samples[:, 1]
 
-    cross_times = [ev.time for ev in evs if ev.kind == "level-crossing" and ev.time <= t_end]
-    extrema = [ev.time for ev in evs if ev.kind == "derivative-sign-change" and ev.time <= t_end]
+    cross_times = [s for s in crossings if s <= t_end]
     phi_max = float(max([phi.max(), *traj.sample(extrema)[:, 0]]))
 
     tail = samples[-(_N_SAMPLES // 20):]

@@ -192,11 +192,10 @@ def lower_amplitude(c: float, g0: float, mu_lower: float, upper: UpperSolution,
     return max(1.05 * m_min, upper.coef + 1.0, 2.0)
 
 
-def lower_solution(c: float, g0: float, mu_lower: float, amplitude: float,
+def lower_solution(lam: float, mu_lower: float, amplitude: float,
                    grid: Grid) -> np.ndarray:
-    """Samples of the clamped lower solution; vanishes past
-    t = -ln(amplitude)/mu_lower."""
-    lam, _ = kpp_roots(c, g0)
+    """Samples of the clamped lower solution max(0, e^(lam t)(1 - M e^(mu_lower t)))
+    for the slow KPP rate lam; vanishes past t = -ln(amplitude)/mu_lower."""
     ts = grid.nodes()
     vals = np.exp(lam * ts) * (1.0 - amplitude * np.exp(mu_lower * ts))
     return np.maximum(0.0, vals)
@@ -251,7 +250,7 @@ def config_to_json(config: IterationConfig) -> dict:
 
 
 def default_config(params: WaveParams, dt: float = 0.02,
-                   tol: float = 1e-9) -> tuple[IterationConfig, BoundReport]:
+                   tol: float = 1e-9) -> IterationConfig:
     """Config with the spelled-out defaults: cutoff level 1.5x the a-priori
     bound, shift b = G(0) - min G on [0, 2*beta] + 1, and a grid wide
     enough that both end states are resolved to ~1e-9.  Every law the bound
@@ -273,7 +272,7 @@ def default_config(params: WaveParams, dt: float = 0.02,
     t_lo = -21.0 / lam
     t_hi = 21.0 / max(-rate_plus, 1e-3) + max(params.kernel.mean(c), 0.0) + 10.0
     grid = Grid(t_lo, dt, int((t_hi - t_lo) / dt) + 1)
-    return IterationConfig(b=b, beta=beta, grid=grid, tol=tol), bound
+    return IterationConfig(b=b, beta=beta, grid=grid, tol=tol)
 
 
 def _cell_weights_left(alpha: float, h: float) -> tuple[float, float, float]:
@@ -419,7 +418,7 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
     lam, mu = upper.lam, upper.mu
     mu_lower = 0.45 * min(lam, mu - lam)
     m_amp = lower_amplitude(c, growth.g0, mu_lower, upper, kernel, growth)
-    phi_minus = lower_solution(c, growth.g0, mu_lower, m_amp, grid)
+    phi_minus = lower_solution(lam, mu_lower, m_amp, grid)
     if np.any(phi_minus > phi_plus + 1e-12):
         raise KolwaveError("lower solution escaped above the upper solution")
 
@@ -533,6 +532,5 @@ def critical_speed_probe(params: WaveParams) -> list[tuple[float, IterationResul
     out = []
     for j in (1, 2, 3):
         pj = WaveParams(params.growth, params.kernel, c_star + 1.0 / j)
-        config, _ = default_config(pj)
-        out.append((pj.c, iterate_front(config, pj)))
+        out.append((pj.c, iterate_front(default_config(pj), pj)))
     return out

@@ -49,9 +49,9 @@ def matrix_runs():
     out = []
     for name, growth, kernel, c, dt in MATRIX:
         params = WaveParams(growth, kernel, c)
-        config, bound = semiwavefront.default_config(params, dt=dt, tol=1e-9)
+        config = semiwavefront.default_config(params, dt=dt, tol=1e-9)
         res = semiwavefront.iterate_front(config, params)
-        out.append((name, params, config, bound, res))
+        out.append((name, params, config, res.bound, res))
     return out
 
 

@@ -119,7 +119,7 @@ def test_iterate_with_config_json(tmp_path):
     from kolwave.semiwavefront import config_to_json, default_config
 
     params = WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5)
-    config, _ = default_config(params, dt=0.05, tol=1e-8)
+    config = default_config(params, dt=0.05, tol=1e-8)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_json(config)))
     code = run(tmp_path, "iterate", "--model", "kpp", "--c", "2.5",
@@ -187,6 +187,17 @@ def test_region_tau_star_with_jobs(tmp_path):
 def test_jobs_flag_belongs_to_region_only(tmp_path):
     code = run(tmp_path, "roots", "--gamma", "9", "--tau", "3", "--jobs", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--gamma", "9", "--tau", "3"),
+    ("overshoot", "--gamma", "9", "--tau", "1"),
+    ("test-function", "--gamma", "9", "--tau", "1", "--a", "0.5"),
+], ids=lambda argv: argv[0])
+def test_tol_flag_belongs_to_commands_that_read_it(tmp_path, argv):
+    # these three evaluate closed forms or root polynomials with no tolerance
+    assert run(tmp_path, *argv) == 0
+    assert run(tmp_path, *argv, "--tol", "1e-3") == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -294,7 +305,7 @@ def test_manifest_records_the_error_class(tmp_path):
     from kolwave.models import GrowthModel, Kernel, WaveParams
     from kolwave.semiwavefront import config_to_json, default_config
 
-    config, _ = default_config(WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5), dt=0.05)
+    config = default_config(WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5), dt=0.05)
     doc = config_to_json(config)
     doc["b"] = 1e-3  # too weak a shift: the first sweep leaves the sandwich
     cfg_path = tmp_path / "cfg.json"
@@ -309,7 +320,7 @@ def test_iteration_config_that_cannot_run_exits_2(tmp_path, capsys, field, value
     from kolwave.models import GrowthModel, Kernel, WaveParams
     from kolwave.semiwavefront import config_to_json, default_config
 
-    config, _ = default_config(WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5), dt=0.05)
+    config = default_config(WaveParams(GrowthModel.kpp(), Kernel.dirac(), 2.5), dt=0.05)
     doc = config_to_json(config)
     doc[field] = value
     cfg_path = tmp_path / "cfg.json"

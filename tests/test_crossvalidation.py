@@ -35,7 +35,7 @@ def sup_gap(t_a, v_a, t_b, v_b):
 def test_weak_kernel_routes_agree():
     gamma, tau, c = 2.0, 0.5, 4.0
     params = WaveParams(GrowthModel.food_limited(gamma), Kernel.weak(tau), c)
-    config, _ = default_config(params, dt=0.02, tol=1e-9)
+    config = default_config(params, dt=0.02, tol=1e-9)
     res = iterate_front(config, params)
     assert res.converged
 
@@ -51,7 +51,7 @@ def test_weak_kernel_routes_agree():
 def test_discrete_kernel_routes_agree():
     gamma, tau, c = 2.0, 0.4, 4.0
     params = WaveParams(GrowthModel.food_limited(gamma), Kernel.discrete(tau), c)
-    config, _ = default_config(params, dt=0.02, tol=1e-9)
+    config = default_config(params, dt=0.02, tol=1e-9)
     res = iterate_front(config, params)
     assert res.converged
 

@@ -12,7 +12,6 @@ from kolwave.errors import (
 )
 from kolwave.numerics import (
     DdeTrajectory,
-    EventSpec,
     Grid,
     cubic_real_roots,
     find_root,
@@ -68,42 +67,79 @@ def test_tol_domain_guard():
 
 def test_level_crossing_event_on_logistic():
     # y' = y(1-y) from 0.01 crosses 1/2 at t = ln(99)
-    ev = EventSpec("level-crossing", level=0.5, direction="up")
-    traj, events = integrate_ode(
-        lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10, events=[ev]
+    traj, (half,) = integrate_ode(
+        lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10,
+        events=[lambda t, y: y[0] - 0.5],
     )
-    assert len(events) == 1
-    assert events[0].direction == "up"
-    assert events[0].time == pytest.approx(math.log(99.0), abs=1e-7)
+    assert len(half) == 1
+    assert half[0] == pytest.approx(math.log(99.0), abs=1e-7)
 
 
 def test_event_times_are_reproducible_bitwise():
-    ev = EventSpec("level-crossing", level=0.5, direction="up")
     times = []
     for _ in range(2):
-        _, events = integrate_ode(
-            lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10, events=[ev]
+        _, (half,) = integrate_ode(
+            lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10,
+            events=[lambda t, y: y[0] - 0.5],
         )
-        times.append(events[0].time)
+        times.append(half[0])
     assert times[0] == times[1]
 
 
 def test_extremum_event_on_sine():
-    # y = sin t has derivative sign change (down) at pi/2
+    # y = sin t has derivative sign change at pi/2
     def f(t, y):
         return np.array([math.cos(t)])
 
-    ev = EventSpec("derivative-sign-change", direction="down")
-    _, events = integrate_ode(f, [0.0], (0.0, 3.0), tol=1e-10, events=[ev])
-    assert len(events) == 1
-    assert events[0].time == pytest.approx(math.pi / 2, abs=1e-8)
+    _, (extrema,) = integrate_ode(f, [0.0], (0.0, 3.0), tol=1e-10,
+                                  events=[lambda t, y: f(t, y)[0]])
+    assert len(extrema) == 1
+    assert extrema[0] == pytest.approx(math.pi / 2, abs=1e-8)
 
 
 def test_terminal_event_truncates():
-    ev = EventSpec("level-crossing", level=2.0, terminal=True)
-    traj, events = integrate_ode(lambda t, y: y, [1.0], (0.0, 5.0), tol=1e-10, events=[ev])
+    traj, (stop,) = integrate_ode(lambda t, y: y, [1.0], (0.0, 5.0), tol=1e-10,
+                                  stop=lambda t, y: y[0] - 2.0)
     assert traj.t_end == pytest.approx(math.log(2.0), abs=1e-8)
-    assert events[-1].time == pytest.approx(math.log(2.0), abs=1e-8)
+    assert stop == [traj.t_end]
+
+
+def test_stop_drops_later_zeros_of_the_same_step():
+    # y = t: the stop gauge's zero at 1 and the other gauge's at 1.5 fall in
+    # one step, so the run ends at 1 and the zero at 1.5 is dropped
+    field = lambda t, y: np.array([1.0])
+    late = lambda t, y: y[0] - 1.5
+    full, (late_full,) = integrate_ode(field, [0.0], (0.0, 5.0), events=[late])
+    i = int(np.searchsorted(full.ts, 1.0))
+    assert full.ts[i - 1] < 1.0 and full.ts[i] > 1.5
+    assert late_full == [pytest.approx(1.5, abs=1e-12)]
+
+    traj, (late_zeros, stop) = integrate_ode(field, [0.0], (0.0, 5.0), events=[late],
+                                             stop=lambda t, y: y[0] - 1.0)
+    assert stop == [pytest.approx(1.0, abs=1e-12)]
+    assert traj.t_end == stop[0]
+    assert late_zeros == []
+
+
+def test_each_gauge_gets_its_own_ascending_zero_list():
+    # y = sin t: y = 0 at pi, 2pi, 3pi (the start t = 0 is a zero, not a sign
+    # change); y = 1/2 at pi/6, 5pi/6, 13pi/6, 17pi/6
+    _, (zero, half) = integrate_ode(
+        lambda t, y: np.array([math.cos(t)]), [0.0], (0.0, 10.0), tol=1e-10,
+        events=[lambda t, y: y[0], lambda t, y: y[0] - 0.5],
+    )
+    assert zero == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-7)
+    assert half == pytest.approx([k * math.pi / 6 for k in (1, 5, 13, 17)], abs=1e-7)
+    assert zero == sorted(zero) and half == sorted(half)
+
+
+@pytest.mark.parametrize("nan_at", [0.0, 0.5])
+def test_non_finite_gauge_raises(nan_at):
+    def gauge(t, y):
+        return math.nan if t >= nan_at else y[0] - 10.0
+
+    with pytest.raises(FieldEvaluationError):
+        integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), tol=1e-8, events=[gauge])
 
 
 def test_dde_cosine_fixture():

@@ -38,8 +38,9 @@ def kpp_params(c=2.5):
 @pytest.fixture(scope="module")
 def kpp_run():
     params = kpp_params()
-    config, bound = default_config(params, dt=0.005, tol=1e-10)
-    return params, config, bound, iterate_front(config, params)
+    config = default_config(params, dt=0.005, tol=1e-10)
+    res = iterate_front(config, params)
+    return params, config, res.bound, res
 
 
 # -------------------------------------------------------------------- cutoff
@@ -164,7 +165,7 @@ def test_lower_solution_clamps_and_sits_below_upper():
     mu_lower = 0.45 * min(up.lam, up.mu - up.lam)
     m_amp = lower_amplitude(c, g0, mu_lower, up, Kernel.dirac(), growth)
     grid = Grid(-40.0, 0.01, 9001)
-    lo = lower_solution(c, g0, mu_lower, m_amp, grid)
+    lo = lower_solution(up.lam, mu_lower, m_amp, grid)
     hi = up(grid.nodes())
     assert np.all(lo >= 0.0)
     assert np.all(lo <= hi + 1e-12)
@@ -198,7 +199,7 @@ def test_closed_form_shift_and_minorant_match_their_grid_scans():
         tau = rng.uniform(0.0, 2.0)
         kernel = Kernel.discrete(tau) if tau > 0.05 else Kernel.dirac()
         c = rng.uniform(2.05, 4.0) * math.sqrt(growth.g0)
-        config, _ = default_config(WaveParams(growth, kernel, c), dt=0.5)
+        config = default_config(WaveParams(growth, kernel, c), dt=0.5)
         us = np.linspace(0.0, 2.0 * config.beta, 2001)
         assert config.b == (growth.g0 - float(np.min(growth.g(us)))) + 1.0
 
@@ -220,7 +221,7 @@ def test_shift_covers_the_slope_budget_of_every_no_hump_law():
     for _ in range(300):
         growth = _random_no_hump_law(rng)
         c = rng.uniform(2.05, 4.0) * math.sqrt(growth.g0)
-        config, _ = default_config(WaveParams(growth, Kernel.dirac(), c), dt=0.5)
+        config = default_config(WaveParams(growth, Kernel.dirac(), c), dt=0.5)
         b, beta = config.b, config.beta
         us = np.linspace(0.0, 2.0 * beta, 4001)
         assert b >= float(np.max(np.abs(growth.g(us)))) + 1.0
@@ -265,8 +266,8 @@ def test_first_iterate_from_upper_descends(kpp_run):
 
 def test_residual_decreases_under_grid_refinement():
     params = kpp_params()
-    res_coarse = iterate_front(default_config(params, dt=0.02, tol=1e-9)[0], params)
-    res_fine = iterate_front(default_config(params, dt=0.01, tol=1e-9)[0], params)
+    res_coarse = iterate_front(default_config(params, dt=0.02, tol=1e-9), params)
+    res_fine = iterate_front(default_config(params, dt=0.01, tol=1e-9), params)
     assert res_fine.residual < res_coarse.residual
 
 
@@ -277,7 +278,7 @@ def test_green_operator_monotone_on_sandwich_pairs(growth):
     # point-mass kernel at 0: the operator's integrand is nondecreasing in
     # the profile once the shift exceeds the growth-slope budget
     params = WaveParams(growth, Kernel.dirac(), 2.5)
-    config, _ = default_config(params, dt=0.02, tol=1e-9)
+    config = default_config(params, dt=0.02, tol=1e-9)
     grid = config.grid
     ts = grid.nodes()
     up = kpp_upper_solution(params.c, growth.g0, config.beta)
@@ -361,7 +362,7 @@ def test_blocked_sweep_matches_plain_loop(e):
 def food_dirac_operator(request):
     c = request.param
     params = WaveParams(GrowthModel.food_limited(1.0), Kernel.dirac(), c)
-    config, _ = default_config(params)
+    config = default_config(params)
     z1, z2 = config.green_rates(c)
     lam, _ = kpp_roots(c, params.growth.g0)
     return c, config, lam, z1, z2
@@ -387,8 +388,8 @@ def test_green_operator_with_tail_maps_constant_to_one_off_the_left_end(food_dir
 def test_iteration_requires_beta_above_bound():
     # discrete delay at c=2.5 has U = e^(0.5*1.5) ~ 2.12, so beta = 1.5 is too low
     params = WaveParams(GrowthModel.food_limited(2.0), Kernel.discrete(0.6), 2.5)
-    config, bound = default_config(params, dt=0.02, tol=1e-9)
-    assert bound.U > 1.5
+    config = default_config(params, dt=0.02, tol=1e-9)
+    assert apriori_bound(params.c, params.kernel, params.growth).U > 1.5
     from dataclasses import replace
 
     with pytest.raises(PreconditionError):
@@ -403,10 +404,10 @@ def test_subcritical_speed_is_the_designed_failure():
 
 def test_delayed_kernel_iteration_respects_bound():
     params = WaveParams(GrowthModel.food_limited(2.0), Kernel.discrete(0.6), 2.5)
-    config, bound = default_config(params, dt=0.02, tol=1e-9)
+    config = default_config(params, dt=0.02, tol=1e-9)
     res = iterate_front(config, params)
     assert res.converged
-    assert res.profile.sup <= bound.U + res.slack
+    assert res.profile.sup <= res.bound.U + res.slack
     assert res.profile.h == pytest.approx(2.5 * 0.6)
 
 
@@ -414,7 +415,7 @@ def test_front_with_samples_exactly_on_one_has_finite_crossings():
     # dozens of this front's samples equal 1.0 exactly; each is a crossing
     # at its own time, not a 0/0 interpolation
     params = WaveParams(GrowthModel.food_limited(1.0), Kernel.discrete(1.0), 2.2)
-    config, _ = default_config(params)
+    config = default_config(params)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = iterate_front(config, params)
@@ -425,7 +426,7 @@ def test_front_with_samples_exactly_on_one_has_finite_crossings():
 
 def test_weak_kernel_iteration_decay_rates():
     params = WaveParams(GrowthModel.food_limited(2.0), Kernel.weak(0.5), 2.5)
-    config, bound = default_config(params, dt=0.02, tol=1e-9)
+    config = default_config(params, dt=0.02, tol=1e-9)
     res = iterate_front(config, params)
     assert res.converged
     assert res.profile.decay_minus == pytest.approx(0.5, rel=0.05)
@@ -435,7 +436,7 @@ def test_weak_kernel_iteration_decay_rates():
 
 def test_quadratic_growth_without_hump_iterates():
     params = WaveParams(GrowthModel.quadratic(1.0, -0.5), Kernel.dirac(), 2.5)
-    config, bound = default_config(params, dt=0.02, tol=1e-9)
+    config = default_config(params, dt=0.02, tol=1e-9)
     res = iterate_front(config, params)
     assert res.converged
     assert res.profile.shape == MONOTONE
