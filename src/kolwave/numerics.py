@@ -86,15 +86,17 @@ def _hermite(t, t0, t1, y0, y1, f0, f1):
     )
 
 
-def _hermite_deriv(t, t0, t1, y0, y1, f0, f1):
+def _hermite_lag(t, t0, t1, y0, y1, f0, f1) -> Lag:
+    """Value and slope of the cubic Hermite at t from one theta; the value
+    equals `_hermite`'s bitwise."""
     h = t1 - t0
     th = (t - t0) / h
     th2 = th * th
-    return (
-        (6 * th2 - 6 * th) * (y0 - y1) / h
-        + (3 * th2 - 4 * th + 1) * f0
-        + (3 * th2 - 2 * th) * f1
-    )
+    th3 = th2 * th
+    return Lag((2 * th3 - 3 * th2 + 1) * y0 + (th3 - 2 * th2 + th) * h * f0
+               + (-2 * th3 + 3 * th2) * y1 + (th3 - th2) * h * f1,
+               (6 * th2 - 6 * th) * (y0 - y1) / h + (3 * th2 - 4 * th + 1) * f0
+               + (3 * th2 - 2 * th) * f1)
 
 
 class Trajectory:
@@ -130,10 +132,10 @@ class Trajectory:
                         self.fs[i], self.fs[i + 1])
 
     def derivative(self, t: float) -> np.ndarray:
-        i = self._segment(min(max(t, self.ts[0]), self.ts[-1]))
-        return _hermite_deriv(min(max(t, self.ts[0]), self.ts[-1]),
-                              self.ts[i], self.ts[i + 1], self.ys[i], self.ys[i + 1],
-                              self.fs[i], self.fs[i + 1])
+        t = min(max(t, self.ts[0]), self.ts[-1])
+        i = self._segment(t)
+        return _hermite_lag(t, self.ts[i], self.ts[i + 1], self.ys[i], self.ys[i + 1],
+                            self.fs[i], self.fs[i + 1]).slope
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
         """`__call__` at every point of ts, as one array operation with the
@@ -164,6 +166,10 @@ _DP_A = (
 _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
+# The tableau as rows over the (7, d) stage matrix: row i - 1 forms stage i's
+# state, row 5 the 5th-order solution and row 6 the error estimate.
+_DP_ROWS = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A[1:] + (_DP_B, _DP_E)])
+
 
 def _check_span(span, tol: float) -> tuple[float, float]:
     if not (1e-13 < tol < 1e-2):
@@ -176,7 +182,7 @@ def _check_span(span, tol: float) -> tuple[float, float]:
 
 def _eval_field(field_fn, t, y):
     f = np.asarray(field_fn(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise FieldEvaluationError(f"field returned non-finite value at t={t}")
     return f
 
@@ -194,14 +200,13 @@ def _dp_step(field, t, y, f, h, tol):
     Returns (y_new, f_new, err, scale): the 5th-order state, the field
     there, the scaled RMS error norm (accept when <= 1) and the per-component
     error scale."""
-    k = [f]
+    k = np.zeros((7, y.size))
+    k[0] = f
     for i in range(1, 6):
-        yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-        k.append(_eval_field(field, t + _DP_C[i] * h, yi))
-    y_new = y + h * sum(b * k[j] for j, b in enumerate(_DP_B))
-    f_new = _eval_field(field, t + h, y_new)
-    k.append(f_new)
-    err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_E))
+        k[i] = _eval_field(field, t + _DP_C[i] * h, y + h * (_DP_ROWS[i - 1] @ k))
+    y_new = y + h * (_DP_ROWS[5] @ k)
+    f_new = k[6] = _eval_field(field, t + h, y_new)
+    err_vec = h * (_DP_ROWS[6] @ k)
     sc = tol * 1e-3 + tol * np.maximum(np.abs(y), np.abs(y_new))
     return y_new, f_new, float(np.sqrt(np.mean((err_vec / sc) ** 2))), sc
 
@@ -247,7 +252,10 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
     if stop is not None:
         gauges.append(_checked_gauge(stop))
     t, y, f = ts[-1], ys[-1], fs[-1]
-    g_prev = [g(t, y) for g in gauges]
+    # per gauge: its last nonzero value at a node (0.0 before the first) and
+    # the first node of the run of exact zeros since then, if any
+    g_last = [g(t, y) for g in gauges]
+    zero_run: list[float | None] = [None for _ in gauges]
     times: list[list[float]] = [[] for _ in gauges]
     steps = 0
     while t < t1:
@@ -275,18 +283,24 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
         fs.append(f_new.copy())
         seg_eval = lambda tt: _hermite(tt, t, t_new, y, y_new, f, f_new)
         for i, g in enumerate(gauges):
-            g0 = g_prev[i]
-            g1 = g_prev[i] = g(t_new, y_new)
-            if g0 != 0.0 and (g0 < 0) != (g1 < 0):
-                times[i].append(_refine_event(g, seg_eval, t, t_new, g0, g1))
+            g0, g1, z = g_last[i], g(t_new, y_new), zero_run[i]
+            if g1 == 0.0:
+                zero_run[i] = t_new if z is None else z
+            else:  # a sign change across a run of zeros is one zero, at its first node
+                if g0 != 0.0 and (g0 < 0) != (g1 < 0):
+                    times[i].append(_refine_event(g, seg_eval, t, t_new, g0, g1)
+                                    if z is None else z)
+                g_last[i], zero_run[i] = g1, None
         if stop is not None and times[-1]:
-            # truncate the step at the stop time
+            # truncate the run at the stop time: at a node, or inside the last step
             te = times[-1][0]
             for zeros in times[:-1]:
                 zeros[:] = [z for z in zeros if z <= te + _EVENT_TIME_TOL]
-            ts[-1] = te
-            ys[-1] = seg_eval(te)
-            fs[-1] = _eval_field(field, te, ys[-1])
+            j = bisect.bisect_left(ts, te)
+            del ts[j + 1:], ys[j + 1:], fs[j + 1:]
+            if ts[j] != te:
+                ts[j], ys[j] = te, seg_eval(te)
+                fs[j] = _eval_field(field, te, ys[j])
             break
         t, y, f = t_new, ys[-1], fs[-1]
         h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
@@ -422,8 +436,7 @@ def integrate_dde(
         if len(ts) == 1 or s >= ts[-1]:
             return Lag(ys[-1].copy(), fs[-1].copy())
         i = bisect.bisect_right(ts, s) - 1  # ts[0] < s < ts[-1]: an interior node
-        seg = (s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
-        return Lag(_hermite(*seg), _hermite_deriv(*seg))
+        return _hermite_lag(s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
 
     def committed_field(t: float, y: np.ndarray) -> np.ndarray:
         return np.asarray(field(t, y, lag_at(t - tau)), dtype=float)
@@ -450,11 +463,7 @@ def integrate_dde(
 
         def step_field(tt: float, yy: np.ndarray) -> np.ndarray:
             s = tt - tau
-            if s <= t + 1e-14:
-                lag = lag_at(s)
-            else:
-                lag = Lag(_hermite(s, t, t_new, y, y_prov, f, f_prov),
-                          _hermite_deriv(s, t, t_new, y, y_prov, f, f_prov))
+            lag = lag_at(s) if s <= t + 1e-14 else _hermite_lag(s, t, t_new, y, y_prov, f, f_prov)
             return np.asarray(field(tt, yy, lag), dtype=float)
 
         for _ in range(8):

@@ -164,6 +164,11 @@ def _contraction_matrix(jac: np.ndarray) -> np.ndarray:
     return np.array([[p11, p12], [p12, p22]])
 
 
+def _cramer(m: np.ndarray, b: np.ndarray, det: float) -> np.ndarray:
+    """Solution of the 2x2 system m v = b by Cramer's rule, det = det(m)."""
+    return np.array([m[1, 1] * b[0] - m[0, 1] * b[1], m[0, 0] * b[1] - m[1, 0] * b[0]]) / det
+
+
 def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     """Integrate from the origin's unstable tangent until capture at (1, 1).
 
@@ -270,7 +275,7 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) < 1e-10:
             raise FieldEvaluationError("slow-manifold projection singular")
-        return np.linalg.solve(m, field.rhs(t, y))
+        return _cramer(m, field.rhs(t, y), det)
 
     try:
         return _run_connection(rhs, field.linearization_at_one(), gamma, tau,

@@ -11,6 +11,10 @@ from kolwave.errors import (
     PreconditionError,
 )
 from kolwave.numerics import (
+    _DP_A,
+    _DP_B,
+    _DP_C,
+    _DP_E,
     DdeTrajectory,
     Grid,
     cubic_real_roots,
@@ -21,6 +25,7 @@ from kolwave.numerics import (
     maximize_scalar,
     quad_adaptive,
 )
+from kolwave.numerics import _dp_step, _hermite, _hermite_lag
 
 
 def test_grid_nodes_and_invariants():
@@ -133,6 +138,27 @@ def test_each_gauge_gets_its_own_ascending_zero_list():
     assert zero == sorted(zero) and half == sorted(half)
 
 
+def test_sign_change_across_exact_zeros_is_one_zero_at_its_first_node():
+    # down is positive, exactly 0 on [0.5, 1], then negative; up is its
+    # mirror; touch returns to its sign after the zeros, so it has no zero
+    down = lambda t, y: max(0.0, 0.5 - t) - max(0.0, t - 1.0)
+    up = lambda t, y: -down(t, y)
+    touch = lambda t, y: max(0.0, 0.5 - t) + max(0.0, t - 1.0)
+    field = lambda t, y: np.array([math.sin(10.0 * t)])
+    traj, (zd, zu, zt) = integrate_ode(field, [0.0], (0.0, 2.0), tol=1e-10,
+                                       events=[down, up, touch])
+    first = float(traj.ts[traj.ts >= 0.5][0])
+    assert first < 1.0
+    assert zd == zu == [first]
+    assert zt == []
+
+    # as the stop gauge, the run ends on that node
+    stopped, (zs,) = integrate_ode(field, [0.0], (0.0, 2.0), tol=1e-10, stop=down)
+    assert zs == [first] and stopped.t_end == first
+    n = len(stopped.ts)
+    assert np.array_equal(stopped.ts, traj.ts[:n]) and np.array_equal(stopped.ys, traj.ys[:n])
+
+
 @pytest.mark.parametrize("nan_at", [0.0, 0.5])
 def test_non_finite_gauge_raises(nan_at):
     def gauge(t, y):
@@ -223,6 +249,70 @@ def test_dde_rejects_nonpositive_lag():
     with pytest.raises(PreconditionError):
         integrate_dde(lambda t, y, lag: -lag.value, 0.0, lambda t: [1.0], (0.0, 1.0),
                       history_deriv=lambda t: [0.0])
+
+
+def test_dp_tableau_invariants():
+    for row, c in zip(_DP_A, _DP_C):
+        assert abs(sum(row) - c) <= 1e-15
+    assert abs(sum(_DP_B) - 1.0) <= 1e-15
+    assert abs(sum(_DP_E)) <= 1e-15
+    for k in range(5):  # the 5th-order quadrature conditions
+        assert abs(sum(b * c ** k for b, c in zip(_DP_B, _DP_C)) - 1.0 / (k + 1)) <= 1e-15
+
+
+def _dp_step_oracle(field, t, y, f, h, tol):
+    """The Dormand-Prince step with one array per stage, summed term by term."""
+    k = [f]
+    for i in range(1, 6):
+        yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+        k.append(np.asarray(field(t + _DP_C[i] * h, yi), dtype=float))
+    y_new = y + h * sum(b * k[j] for j, b in enumerate(_DP_B))
+    k.append(np.asarray(field(t + h, y_new), dtype=float))
+    err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_E))
+    sc = tol * 1e-3 + tol * np.maximum(np.abs(y), np.abs(y_new))
+    return y_new, k[-1], float(np.sqrt(np.mean((err_vec / sc) ** 2))), sc
+
+
+@pytest.mark.parametrize("d, field", [
+    (1, lambda t, y: y * (1.0 - y) + np.sin(t)),
+    (2, lambda t, y: np.array([y[1], -np.sin(y[0]) - 0.3 * y[1] + 0.5 * np.cos(t)])),
+], ids=["1d", "2d"])
+def test_dp_step_matches_list_of_stages_oracle(d, field):
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        t, h, tol = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 0.5), 10 ** rng.uniform(-10, -6)
+        y = rng.uniform(-2.0, 2.0, d)
+        f = np.asarray(field(t, y), dtype=float)
+        y_new, f_new, err, sc = _dp_step(field, t, y, f, h, tol)
+        y_o, f_o, err_o, sc_o = _dp_step_oracle(field, t, y, f, h, tol)
+        scale = np.maximum(np.abs(y_o), 1.0)
+        assert np.all(np.abs(y_new - y_o) <= 1e-13 * scale)
+        assert np.all(np.abs(f_new - f_o) <= 1e-13 * np.maximum(np.abs(f_o), 1.0))
+        assert np.all(np.abs(sc - sc_o) <= 1e-13 * sc_o)
+        # err sums nearly cancelling stage terms and divides by sc ~ tol, so
+        # at tol 1e-10 rounding moves it by up to ~1e-7
+        assert abs(err - err_o) <= 1e-6 * max(err_o, 1.0)
+
+
+def test_fused_lag_read_equals_separate_formulas_bitwise():
+    def slope(t, t0, t1, y0, y1, f0, f1):
+        h = t1 - t0
+        th = (t - t0) / h
+        th2 = th * th
+        return ((6 * th2 - 6 * th) * (y0 - y1) / h + (3 * th2 - 4 * th + 1) * f0
+                + (3 * th2 - 2 * th) * f1)
+
+    rng = np.random.default_rng(17)
+    for d in (None, 1, 3):  # Python floats, then 1-d states
+        for _ in range(500):
+            t0 = rng.uniform(-5.0, 5.0)
+            t1 = t0 + rng.uniform(1e-6, 2.0)
+            t = rng.uniform(t0, t1)
+            ys = [rng.normal(size=d) if d else float(rng.normal()) for _ in range(4)]
+            seg = (t, t0, t1, *ys)
+            lag = _hermite_lag(*seg)
+            assert np.array_equal(lag.value, _hermite(*seg))
+            assert np.array_equal(lag.slope, slope(*seg))
 
 
 def _hermite_oracle(traj, t):

@@ -306,6 +306,22 @@ def test_finite_speed_eps_guard():
         finite_speed_profile(40.0, 10.0, 0.5)
 
 
+def test_cramer_rule_matches_linalg_solve():
+    # both solutions carry an error of order eps*cond(m): 1e-13 relative up
+    # to condition number 100, growing with it beyond
+    rng = np.random.default_rng(5)
+    checked = 0
+    for m, b in zip(rng.uniform(-1.0, 1.0, (2000, 2, 2)), rng.uniform(-1.0, 1.0, (2000, 2))):
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if abs(det) < 1e-3:
+            continue
+        want = np.linalg.solve(m, b)
+        scale = max(1.0, np.linalg.cond(m) / 100.0) * np.abs(want).max()
+        assert np.abs(pf._cramer(m, b, det) - want).max() <= 1e-13 * scale
+        checked += 1
+    assert checked > 1900
+
+
 def test_finite_speed_continuation_toward_planar_limit():
     base = heteroclinic(40.0, 10.0)
     d_prev = math.inf
