@@ -226,6 +226,9 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def cmd_region(args, out: Path, manifest: RunManifest) -> int:
+    # checked here: boundary_region turns a KolwaveError of one point into NaN
+    if not args.tol > 0:
+        raise PreconditionError(f"--tol must be positive, got {args.tol}")
     gammas = _parse_range(args.gamma)
     if args.kind == "overshoot":
         curve = discretedelay.overshoot_region(gammas, tol=min(args.tol, 1e-2))

@@ -40,6 +40,7 @@ __all__ = [
 
 _EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
 _MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
+_MAX_GRID_NODES = 10_000_000  # nodes of one Grid: 80 MB per sampled array
 
 Gauge = Callable[[float, np.ndarray], float]  # an event is a sign change of g(t, y)
 
@@ -57,6 +58,10 @@ class Grid:
             raise PreconditionError(f"grid step must be positive, got {self.dt}")
         if self.n < 2:
             raise PreconditionError(f"grid needs at least 2 nodes, got {self.n}")
+        if self.n > _MAX_GRID_NODES:
+            raise PreconditionError(
+                f"grid of n={self.n} nodes at dt={self.dt} exceeds the cap of "
+                f"{_MAX_GRID_NODES} nodes")
 
     @property
     def t_end(self) -> float:
@@ -513,7 +518,8 @@ def lower_edge(pred, hi: float, tol: float) -> float:
     """Lower edge of {t in (0, hi] : pred(t)} for a predicate that holds at
     hi and stays true above its edge: halve down from hi/2 while pred holds
     (a value below 1e-6*hi is returned as the edge), then bisect to a
-    bracket of width tol and return its midpoint."""
+    bracket of width tol, or until its midpoint no longer splits it, and
+    return that midpoint."""
     lo = hi / 2.0
     while pred(lo):
         lo /= 2.0
@@ -521,6 +527,8 @@ def lower_edge(pred, hi: float, tol: float) -> float:
             return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if pred(mid):
             hi = mid
         else:

@@ -6,12 +6,11 @@ The profile equation phi'' - c phi' + phi*G(N_c * phi) = 0 is rewritten with
 a shift b > 0 as phi'' - c phi' - b phi + r(phi) = 0,
 r(phi) = b*phi + ramp_cutoff(phi)*G(N_c * phi), and inverted through the
 two-sided exponential Green kernel with rates z1 < 0 < z2 solving
-z^2 - c z - b = 0.  On a uniform grid both exponential convolutions reduce
-to one-pass recurrences that are exact for piecewise-linear integrands; the
-half-infinite tails are closed analytically with the integrand frozen at the
-boundary values.  Each front builds one Green operator: its cell weights and
-the power tables of both sweeps are computed once, and every sweep runs in
-blocks (one cumsum over the full chunks, a scalar carry across them).
+z^2 - c z - b = 0.  Its two one-sided convolutions are one exponential
+sweep, run forwards and on the reversed grid: a one-pass recurrence, exact
+for piecewise-linear integrands, with the half-infinite tail closed
+analytically.  Weights and power tables are built once per front, and
+every sweep runs in blocks (one cumsum over whole chunks, a scalar carry).
 """
 
 from __future__ import annotations
@@ -275,24 +274,6 @@ def default_config(params: WaveParams, dt: float = 0.02,
     return IterationConfig(b=b, beta=beta, grid=grid, tol=tol)
 
 
-def _cell_weights_left(alpha: float, h: float) -> tuple[float, float, float]:
-    """One-cell weights of the exact convolution with e^(alpha * .) (alpha < 0)
-    against a linear segment: I_i = E*I_{i-1} + A*r_{i-1} + B*r_i."""
-    e = math.exp(alpha * h)
-    b = -1.0 / alpha + (e - 1.0) / (alpha * alpha * h)
-    a = (e - 1.0) / alpha - b
-    return e, a, b
-
-
-def _cell_weights_right(beta: float, h: float) -> tuple[float, float, float]:
-    """Mirror weights for the decaying right sweep with e^(-beta * .)
-    (beta > 0): I_i = E*I_{i+1} + A*r_i + B*r_{i+1}."""
-    e = math.exp(-beta * h)
-    bq = (1.0 - e * (1.0 + beta * h)) / (beta * beta * h)
-    aq = (1.0 - e) / beta - bq
-    return e, aq, bq
-
-
 def _sweep_tables(e: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Ratio and power tables e**(1..k), e**-(0..k-1) of a sweep over n nodes,
     with the chunk length k short enough that e**-k cannot overflow."""
@@ -303,60 +284,66 @@ def _sweep_tables(e: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
 
 def _sweep(tables: tuple[float, np.ndarray, np.ndarray], g: np.ndarray,
            init: float) -> np.ndarray:
-    """I_0 = init; I_i = e*I_{i-1} + g[i-1] for i >= 1, in chunks of k: one
-    cumsum over the full chunks, a scalar carry across them, one broadcast
-    multiply, then the remainder chunk."""
+    """I_0 = init; I_i = e*I_{i-1} + g[i-1] for i >= 1, in chunks of k: g is
+    zero-padded to whole chunks, one cumsum runs over them, a scalar carry
+    crosses them and one broadcast multiply fills them."""
     e, pw, inv = tables
     k = len(pw)
-    m = len(g) // k
-    out = np.empty(len(g) + 1)
-    out[0] = init
-    s = np.cumsum(g[:m * k].reshape(m, k) * inv, axis=1) / e
+    m = -(-len(g) // k)
+    s = np.zeros((m, k))
+    s.reshape(-1)[:len(g)] = g
+    s *= inv
+    s = np.cumsum(s, axis=1) / e
     carries = np.empty(m)
     carry = init
     for i in range(m):
         carries[i] = carry
         carry = pw[-1] * (carry + s[i, -1])
-    out[1:m * k + 1] = (pw * (carries[:, None] + s)).ravel()
-    rest = g[m * k:]
-    out[m * k + 1:] = pw[:len(rest)] * (carry + np.cumsum(rest * inv[:len(rest)]) / e)
-    return out
+    return np.concatenate(([init], (pw * (carries[:, None] + s)).ravel()[:len(g)]))
+
+
+class _ExpSweep:
+    """int_-inf^t e^(alpha(t-s)) r(s) ds (alpha < 0) at n nodes of step h,
+    for r linear on each cell and r[0]*e^(tail_rate(s-t0)) left of the grid.
+
+    The exact one-cell weights on r[i-1] (far) and r[i] (near) get an
+    antisymmetric O(h^2) split that makes the sweep exact on e^(lam t) as
+    well as on constants."""
+
+    def __init__(self, alpha: float, h: float, n: int, lam: float, tail_rate: float):
+        e = math.exp(alpha * h)
+        near = -1.0 / alpha + (e - 1.0) / (alpha * alpha * h)
+        far = (e - 1.0) / alpha - near
+        em = math.exp(-lam * h)
+        ell = (far * em + near) / (1.0 - e * em)
+        d = (1.0 / (lam - alpha) - ell) * (1.0 - e * em) / (em - 1.0)
+        self.far, self.near = far + d, near - d
+        self.tail = 1.0 / (tail_rate - alpha)
+        self.tables = _sweep_tables(e, n)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return _sweep(self.tables, self.far * r[:-1] + self.near * r[1:], self.tail * r[0])
 
 
 class _GreenOperator:
     """(1/(z2-z1)) * [int_-inf^t e^(z1(t-s)) r + int_t^inf e^(z2(t-s)) r] on
     a grid of n nodes with step h, applied to the samples r.
 
-    The right tail is closed with r frozen at the boundary (exact on the
-    plateau), the left tail as r[0]*e^(lam(s-t0)), and each sweep's cell
-    weights get an antisymmetric O(h^2) split so that the discrete operator
-    is exact on constants AND on e^(lam t).  Both marginal modes of the
-    front iteration (the plateau and the translation tail) are then
-    preserved to rounding, which keeps the fixed point from drifting off the
-    grid.  The weights and sweep tables are built once.
+    The left term sweeps forwards with the tail r[0]*e^(lam(s-t0)), the
+    right one sweeps the reversed grid with r frozen at r[-1].  Both cell
+    rules are exact on constants and on e^(lam t), so the two marginal
+    modes of the front iteration (the plateau and the translation tail) are
+    preserved to rounding, which keeps the fixed point from drifting off
+    the grid.
     """
 
     def __init__(self, z1: float, z2: float, h: float, n: int, lam: float):
-        e1, a1, b1 = _cell_weights_left(z1, h)
-        e2, a2, b2 = _cell_weights_right(z2, h)
-        em = math.exp(-lam * h)
-        ell = (a1 * em + b1) / (1.0 - e1 * em)
-        d1 = (1.0 / (lam - z1) - ell) * (1.0 - e1 * em) / (em - 1.0)
-        a1, b1 = a1 + d1, b1 - d1
-        ep = math.exp(lam * h)
-        rho = (a2 + b2 * ep) / (1.0 - e2 * ep)
-        d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
-        a2, b2 = a2 + d2, b2 - d2
-        self.left_rate = lam - z1
-        self.z1, self.z2 = z1, z2
-        self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
-        self.left, self.right = _sweep_tables(e1, n), _sweep_tables(e2, n)
+        self.left = _ExpSweep(z1, h, n, lam, lam)
+        self.right = _ExpSweep(-z2, h, n, -lam, 0.0)
+        self.width = z2 - z1
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        i_left = _sweep(self.left, self.a1 * r[:-1] + self.b1 * r[1:], r[0] / self.left_rate)
-        w = self.a2 * r[:-1] + self.b2 * r[1:]
-        i_right = _sweep(self.right, w[::-1], r[-1] / self.z2)[::-1]
-        return (i_left + i_right) / (self.z2 - self.z1)
+        return (self.left(r) + self.right(r[::-1])[::-1]) / self.width
 
 
 def _convolver(kernel: Kernel, c: float, h: float, n: int):

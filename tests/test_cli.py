@@ -248,6 +248,22 @@ def test_region_overshoot_at_large_gamma_clips_its_window(tmp_path, gamma):
     assert cols["tau_lower"] < cols["tau_upper"]
 
 
+@pytest.mark.parametrize("kind", ["tau-star", "tau-sharp", "overshoot"])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_region_rejects_a_tolerance_that_is_not_positive(tmp_path, kind, tol):
+    # checked before the sweep, which turns each point's error into a NaN row
+    assert run(tmp_path, "region", kind, "--gamma", "9:9:1", "--tol", tol) == 2
+    assert not (tmp_path / f"region-{kind}.csv").exists()
+
+
+def test_iterate_rejects_a_grid_past_the_node_cap(tmp_path):
+    assert run(tmp_path / "dt", "iterate", "--model", "kpp", "--dt", "1e-12") == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"b": 2.0, "beta": 3.0,
+                                  "grid": {"t0": -10.0, "dt": 1e-12, "n": 10 ** 13}}))
+    assert run(tmp_path / "json", "iterate", "--model", "kpp", "--config", str(config)) == 2
+
+
 def test_outputs_are_byte_reproducible(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

@@ -38,6 +38,14 @@ def test_grid_nodes_and_invariants():
         Grid(0.0, 0.1, 1)
 
 
+def test_grid_caps_its_node_count_before_allocating():
+    assert Grid(0.0, 1e-6, 10_000_000).n == 10_000_000  # nodes() is never called
+    with pytest.raises(PreconditionError, match=r"n=10000001 .*dt=1e-06"):
+        Grid(0.0, 1e-6, 10_000_001)
+    with pytest.raises(PreconditionError, match=r"n=100000000000000 .*dt=1e-12"):
+        Grid(0.0, 1e-12, 10 ** 14)
+
+
 def test_exponential_solution():
     traj, _ = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), tol=1e-10)
     assert traj(1.0)[0] == pytest.approx(math.e, rel=1e-9)
@@ -427,6 +435,13 @@ def test_lower_edge_finds_a_threshold_within_half_tol():
 def test_lower_edge_of_an_always_true_predicate_is_below_the_floor():
     for hi in (1.0, 12.5):
         assert 0.0 < lower_edge(lambda t: True, hi, 1e-3) < 1e-6 * hi
+
+
+@pytest.mark.parametrize("tol", [1e-300, 0.0, -1.0])
+def test_lower_edge_stops_when_the_bracket_cannot_be_split(tol):
+    # a tol below float resolution ends at adjacent floats around the edge
+    edge = lower_edge(lambda t: t > 0.3, 1.0, tol)
+    assert abs(edge - 0.3) <= 2.0 * math.ulp(0.3)
 
 
 def test_maximize_parabola():

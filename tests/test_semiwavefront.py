@@ -385,6 +385,47 @@ def test_green_operator_with_tail_maps_constant_to_one_off_the_left_end(food_dir
     assert np.max(np.abs(out[grid.n // 4:] - 1.0)) < 1e-13
 
 
+def _two_formula_operator(z1, z2, h, n, lam):
+    """Oracle: the Green operator with a separate right-hand sweep, its own
+    mirror cell weights and its own exactness correction."""
+    e1 = math.exp(z1 * h)
+    b1 = -1.0 / z1 + (e1 - 1.0) / (z1 * z1 * h)
+    a1 = (e1 - 1.0) / z1 - b1
+    e2 = math.exp(-z2 * h)
+    b2 = (1.0 - e2 * (1.0 + z2 * h)) / (z2 * z2 * h)
+    a2 = (1.0 - e2) / z2 - b2
+    em = math.exp(-lam * h)
+    ell = (a1 * em + b1) / (1.0 - e1 * em)
+    d1 = (1.0 / (lam - z1) - ell) * (1.0 - e1 * em) / (em - 1.0)
+    a1, b1 = a1 + d1, b1 - d1
+    ep = math.exp(lam * h)
+    rho = (a2 + b2 * ep) / (1.0 - e2 * ep)
+    d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
+    a2, b2 = a2 + d2, b2 - d2
+
+    left, right = _sweep_tables(e1, n), _sweep_tables(e2, n)
+
+    def apply(r):
+        i_left = _sweep(left, a1 * r[:-1] + b1 * r[1:], r[0] / (lam - z1))
+        w = a2 * r[:-1] + b2 * r[1:]
+        i_right = _sweep(right, w[::-1], r[-1] / z2)[::-1]
+        return (i_left + i_right) / (z2 - z1)
+
+    return apply
+
+
+def test_mirrored_green_operator_matches_two_formula_oracle(food_dirac_operator):
+    _, config, lam, z1, z2 = food_dirac_operator
+    grid = config.grid
+    op = _GreenOperator(z1, z2, grid.dt, grid.n, lam)
+    oracle = _two_formula_operator(z1, z2, grid.dt, grid.n, lam)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        r = rng.uniform(-1.0, 2.0, grid.n)
+        want = oracle(r)
+        assert np.max(np.abs(op(r) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_iteration_requires_beta_above_bound():
     # discrete delay at c=2.5 has U = e^(0.5*1.5) ~ 2.12, so beta = 1.5 is too low
     params = WaveParams(GrowthModel.food_limited(2.0), Kernel.discrete(0.6), 2.5)
