@@ -2,9 +2,9 @@
 
 Explicit Dormand-Prince 5(4) stepping with cubic-Hermite dense output and
 event location, delay integration by the method of steps, bracketing root
-solving, lower-edge search, scalar maximisation, and adaptive quadrature on
-finite or semi-infinite domains.  Everything here is deterministic: fixed
-inputs give bit-identical outputs.
+solving, lower-edge search, scalar maximisation, and adaptive quadrature of
+many integrals over finite domains at once.  Everything here is
+deterministic: fixed inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -576,50 +576,109 @@ def maximize_scalar(f, interval, tol: float = 1e-9, scan_points: int = 64):
     return best_x, best_v
 
 
-def _adaptive_simpson(f, a, b, tol_abs, budget):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, fa, 0.5 * (a + b), fm, b, fb, whole, tol_abs, 50, budget)
+_QUAD_BLOCK = 64  # integrals started together: bounds the scan and the first levels
+_QUAD_OPEN = 1 << 15  # open intervals refined together: bounds the arrays of a level
+_QUAD_DEPTH = 50  # refinement levels below the 8 panels before an integral fails
+_QUAD_BUDGET = 400_000  # integrand evaluations of one integral's refinement
 
 
-def _simpson_rec(f, a, fa, m, fm, b, fb, whole, tol_abs, depth, budget):
-    if depth <= 0:
-        raise QuadratureError("refinement depth exhausted")
-    budget[0] -= 2
-    if budget[0] <= 0:
-        raise QuadratureError("evaluation budget exhausted")
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol_abs:
-        return left + right + delta / 15.0
-    return (
-        _simpson_rec(f, a, fa, lm, flm, m, fm, left, tol_abs / 2, depth - 1, budget)
-        + _simpson_rec(f, m, fm, rm, frm, b, fb, right, tol_abs / 2, depth - 1, budget)
-    )
+def quad_adaptive(f, lo, hi, tol: float = 1e-10) -> np.ndarray:
+    """Adaptive Simpson quadrature of m integrals at once: integral k of
+    f(x, k) over the finite domain [lo[k], hi[k]], with
+    |error| <= tol*(1 + |value|) each.
 
-
-def quad_adaptive(f, domain, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature over a finite domain with
-    |error| <= tol*(1 + |value|)."""
-    a, b = float(domain[0]), float(domain[1])
-    if not (b > a and math.isfinite(a) and math.isfinite(b)):
+    f gets arrays of abscissae x and integral indices k and returns the
+    integrand values there.  A coarse 17-point scan fixes each integral's
+    absolute tolerance, shared by 8 panels; every refinement level is one
+    call of f over the open intervals of a block of integrals, and a block
+    whose open intervals outgrow _QUAD_OPEN refines its halves in turn, so
+    memory stays bounded.  Each sum accumulates in level order on its own
+    index, so a value does not depend on which other integrals share the
+    call."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise PreconditionError("quadrature needs matching 1-d arrays of domain ends")
+    if not np.all((hi > lo) & np.isfinite(lo) & np.isfinite(hi)):
         raise PreconditionError("quadrature needs a finite, non-empty domain")
+    out = np.empty(len(lo))
+    for start in range(0, len(lo), _QUAD_BLOCK):
+        block = slice(start, start + _QUAD_BLOCK)
+        out[block] = _simpson_block(f, lo[block], hi[block], start, tol)
+    return out
 
-    # rough magnitude from a coarse scan fixes the absolute budget
-    xs = np.linspace(a, b, 17)
-    rough = float(np.trapezoid([f(x) for x in xs], xs))
-    tol_abs = tol * (1.0 + abs(rough))
 
-    budget = [400_000]
-    panels = np.linspace(a, b, 9)
-    total = 0.0
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        total += _adaptive_simpson(f, lo, hi, tol_abs / 8.0, budget)
+def _finite_values(f, x, k) -> np.ndarray:
+    fx = np.asarray(f(x, k), dtype=float)
+    if not np.isfinite(fx).all():
+        bad = np.flatnonzero(~np.isfinite(fx))[0]
+        raise QuadratureError(
+            f"integrand of integral {k[bad]} is {fx[bad]} at x = {float(x[bad])!r}")
+    return fx
+
+
+def _simpson_block(f, lo, hi, first, tol):
+    m = len(lo)
+
+    # rough magnitude from a coarse scan fixes each absolute budget
+    xs = np.linspace(lo, hi, 17, axis=1)
+    fx = _finite_values(f, xs.ravel(), first + np.repeat(np.arange(m), 17)).reshape(m, 17)
+    tol_abs = tol * (1.0 + np.abs(np.trapezoid(fx, xs, axis=1))) / 8.0
+
+    # the 8 panels, as intervals (a, mid, b) with their Simpson estimates
+    panels = np.linspace(lo, hi, 9, axis=1)
+    a, b = panels[:, :-1].ravel(), panels[:, 1:].ravel()
+    mid = 0.5 * (a + b)
+    kid = np.repeat(np.arange(m), 8)
+    n = len(kid)
+    fab = _finite_values(f, np.concatenate((a, mid, b)), first + np.tile(kid, 3))
+    fa, fm, fb = fab[:n], fab[n:2 * n], fab[2 * n:]
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    # each level refines one block of open intervals; a block of more than
+    # _QUAD_OPEN intervals of several integrals splits in two by integral,
+    # the low half first, and each half keeps its integrals' interval order
+    total = np.zeros(m)
+    used = np.zeros(m, dtype=np.int64)
+    pending = [(0, [a, mid, b, fa, fm, fb, whole, kid])]
+    while pending:
+        level, state = pending.pop()
+        kid = state[-1]
+        if len(kid) > _QUAD_OPEN and kid.min() < kid.max():
+            low = kid < (kid.min() + kid.max() + 1) // 2
+            pending += [(level, [x[~low] for x in state]), (level, [x[low] for x in state])]
+        elif level == _QUAD_DEPTH:
+            raise QuadratureError("refinement depth exhausted")
+        else:
+            used += 2 * np.bincount(kid, minlength=m)
+            if np.any(used >= _QUAD_BUDGET):
+                raise QuadratureError("evaluation budget exhausted")
+            state = _simpson_level(f, state, 15.0 * tol_abs * 0.5 ** level, total, first)
+            if state is not None:
+                pending.append((level + 1, state))
     return total
+
+
+def _simpson_level(f, state, accept, total, first):
+    """One refinement level of the open intervals state = [a, mid, b, fa,
+    fm, fb, whole, kid]: adds every accepted estimate into total[kid] and
+    returns the halves of the rest, left halves first, or None."""
+    a, mid, b, fa, fm, fb, whole, kid = state
+    n = len(kid)
+    lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
+    flr = _finite_values(f, np.concatenate((lm, rm)), first + np.concatenate((kid, kid)))
+    flm, frm = flr[:n], flr[n:]
+    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    done = np.abs(delta) <= accept[kid]
+    np.add.at(total, kid[done], left[done] + right[done] + delta[done] / 15.0)
+    keep = ~done
+    if not keep.any():
+        return None
+    return [np.concatenate((left_half[keep], right_half[keep])) for left_half, right_half in
+            ((a, mid), (lm, rm), (mid, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
+             (kid, kid))]
 
 
 def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:

@@ -97,7 +97,12 @@ def apriori_bound(c: float, kernel: Kernel, growth: GrowthModel) -> BoundReport:
     right = kernel.laplace_right(0.0, c)
     candidates: list[tuple[float, str]] = []
     if right > 0.0:
-        candidates.append((1.0 / kernel.laplace_right(lam, c), "right-mass"))
+        moment = kernel.laplace_right(lam, c)
+        u = 1.0 / moment if moment > 0.0 else math.inf
+        if not math.isfinite(u):
+            raise MomentError(f"right-half kernel moment at rate {lam:.6g} underflows "
+                              f"({moment:.3g}), so the bound 1/moment is not finite")
+        candidates.append((u, "right-mass"))
     if right < 0.001:
         r = 1
         while kernel.mass_on(-float(r), 0.0, c) <= 0.99:
@@ -209,10 +214,10 @@ class IterationConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise PreconditionError("shift b must be positive")
-        if not self.beta > 1:
-            raise PreconditionError("cutoff level beta must exceed 1")
+        if not 0 < self.b < math.inf:
+            raise PreconditionError(f"shift b must be positive and finite, got {self.b}")
+        if not 1 < self.beta < math.inf:
+            raise PreconditionError(f"cutoff level beta must exceed 1 and be finite, got {self.beta}")
         if self.max_iters < 1:
             raise PreconditionError("max_iters must be at least 1")
         if not self.tol > 0:
@@ -274,10 +279,19 @@ def default_config(params: WaveParams, dt: float = 0.02,
     return IterationConfig(b=b, beta=beta, grid=grid, tol=tol)
 
 
+_SWEEP_SPAN = 600.0  # largest -log(e**k) of one sweep chunk: e**-k stays below 1e261
+
+
 def _sweep_tables(e: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Ratio and power tables e**(1..k), e**-(0..k-1) of a sweep over n nodes,
-    with the chunk length k short enough that e**-k cannot overflow."""
-    k = max(16, int(25.0 / max(1e-12, -math.log(e)))) if e < 1.0 else n
+    with the chunk length k short enough that e**-k cannot overflow: about
+    25/-log(e), at least 16 where e**-16 stays in range, and at least 1.
+    Needs e > exp(-_SWEEP_SPAN)."""
+    if e < 1.0:
+        rate = -math.log(e)
+        k = max(int(25.0 / max(1e-12, rate)), min(16, int(_SWEEP_SPAN / rate)))
+    else:
+        k = n
     k = max(1, min(k, n - 1))
     return e, e ** np.arange(1, k + 1), e ** -np.arange(k)
 
@@ -338,6 +352,10 @@ class _GreenOperator:
     """
 
     def __init__(self, z1: float, z2: float, h: float, n: int, lam: float):
+        if not z2 * h < _SWEEP_SPAN:  # z2 > -z1, so the right sweep's ratio is the smaller
+            raise PreconditionError(
+                f"Green rates z1*h = {z1 * h:.6g}, z2*h = {z2 * h:.6g} put a sweep ratio "
+                f"below exp(-{_SWEEP_SPAN:g}): the shift b is too large for the grid step {h:g}")
         self.left = _ExpSweep(z1, h, n, lam, lam)
         self.right = _ExpSweep(-z2, h, n, -lam, 0.0)
         self.width = z2 - z1
@@ -401,16 +419,15 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
         raise PreconditionError("cutoff level must exceed the a-priori bound")
 
     upper = kpp_upper_solution(c, growth.g0, config.beta)
-    phi_plus = upper(ts)
     lam, mu = upper.lam, upper.mu
+    z1, z2 = config.green_rates(c)
+    green = _GreenOperator(z1, z2, h, n, lam)  # first: it refuses a shift too large for h
+    phi_plus = upper(ts)
     mu_lower = 0.45 * min(lam, mu - lam)
     m_amp = lower_amplitude(c, growth.g0, mu_lower, upper, kernel, growth)
     phi_minus = lower_solution(lam, mu_lower, m_amp, grid)
     if np.any(phi_minus > phi_plus + 1e-12):
         raise KolwaveError("lower solution escaped above the upper solution")
-
-    z1, z2 = config.green_rates(c)
-    green = _GreenOperator(z1, z2, h, n, lam)
     conv = _convolver(kernel, c, h, n)
 
     # the discrete Green image of the upper solution's own right-hand side

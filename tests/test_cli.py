@@ -264,6 +264,19 @@ def test_iterate_rejects_a_grid_past_the_node_cap(tmp_path):
     assert run(tmp_path / "json", "iterate", "--model", "kpp", "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize("tau, code, says", [("12", 0, "converged="), ("16", 2, "z1*h"),
+                                             ("1e300", 3, "moment")])
+def test_iterate_with_a_long_discrete_delay_ends_without_nan(tmp_path, capsys, tau, code, says):
+    # the bound grows like e^(lam c tau), and the shift b with it
+    assert run(tmp_path, "iterate", "--model", "kpp", "--kernel", "discrete", "--c", "2.5",
+               "--tau", tau) == code
+    out, err = capsys.readouterr()
+    assert says in out + err
+    assert "nan" not in (out + err).lower() and "Traceback" not in err
+    for path in tmp_path.iterdir():
+        assert "nan" not in path.read_text().lower(), path.name
+
+
 def test_outputs_are_byte_reproducible(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

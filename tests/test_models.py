@@ -16,6 +16,7 @@ from kolwave.models import (
     params_from_json,
     params_to_json,
 )
+from kolwave.models import _WEAK_QUAD_TOL, _weak_density, _weak_table
 from kolwave.numerics import quad_adaptive
 
 
@@ -169,9 +170,72 @@ def test_moment_transform_log_convex_on_triples():
 
 def test_effective_kernel_quadrature_integral_is_one():
     nk = effective_kernel(Kernel.weak(1.0), c=2.0)
-    val = quad_adaptive(lambda s: float(np.interp(s, nk.s, nk.w, left=0.0, right=0.0)),
-                        (nk.s[0], nk.s[-1]), 1e-9)
+    [val] = quad_adaptive(lambda s, k: np.interp(s, nk.s, nk.w, left=0.0, right=0.0),
+                          [nk.s[0]], [nk.s[-1]], 1e-9)
     assert val == pytest.approx(1.0, abs=1e-6)
+
+
+def _simpson_rec(f, a, fa, m, fm, b, fb, whole, tol_abs, depth, budget):
+    if depth <= 0:
+        raise AssertionError("refinement depth exhausted")
+    budget[0] -= 2
+    if budget[0] <= 0:
+        raise AssertionError("evaluation budget exhausted")
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol_abs:
+        return left + right + delta / 15.0
+    return (
+        _simpson_rec(f, a, fa, lm, flm, m, fm, left, tol_abs / 2, depth - 1, budget)
+        + _simpson_rec(f, m, fm, rm, frm, b, fb, right, tol_abs / 2, depth - 1, budget)
+    )
+
+
+def _recursive_simpson(f, a, b, tol):
+    """Oracle: the scalar recursive adaptive Simpson, one integral per call,
+    with the rule of quad_adaptive (17-point scan, 8 panels, depth 50)."""
+    xs = np.linspace(a, b, 17)
+    tol_abs = tol * (1.0 + abs(float(np.trapezoid([f(x) for x in xs], xs))))
+    budget = [400_000]
+    panels = np.linspace(a, b, 9)
+    total = 0.0
+    for lo, hi in zip(panels[:-1], panels[1:]):
+        fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        total += _simpson_rec(f, lo, fa, 0.5 * (lo + hi), fm, hi, fb, whole, tol_abs / 8.0,
+                              50, budget)
+    return total
+
+
+def _weak_density_oracle(s, c, tau):
+    """The weak kernel's density at one node s by the scalar v-integral."""
+    pref = 1.0 / (tau * math.sqrt(math.pi))
+    a = c * c / 4.0 + 1.0 / tau
+
+    def integrand(wv):
+        if wv == 0.0:
+            return 0.0 if s != 0.0 else pref
+        v = wv * wv
+        return pref * math.exp(-((s - c * v) ** 2) / (4.0 * v) - v / tau)
+
+    w_max = math.sqrt(max(40.0 * tau, 40.0 / a, (abs(s) + 40.0) / max(c, 1e-6)))
+    return _recursive_simpson(integrand, 0.0, w_max, _WEAK_QUAD_TOL)
+
+
+@pytest.mark.parametrize("tau, c", [(0.2066, 2.516029), (0.45, 2.9), (1.0, 2.0)])
+def test_weak_density_matches_the_recursive_simpson_oracle(tau, c):
+    s, w = _weak_table(tau, c)
+    pick = np.unique(np.append(np.arange(0, len(s), 37), len(s) - 1))
+    nodes = np.append(s[pick], 0.0)  # s = 0 takes the integrand's other branch at v = 0
+    got = _weak_density(nodes, c, tau)
+    want = np.array([_weak_density_oracle(float(x), c, tau) for x in nodes])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    # a node's value does not depend on the batch it shares
+    assert np.array_equal(got[:-1], w[pick])
 
 
 def test_tabulated_kernel_roundtrip_and_resampling():
@@ -207,8 +271,8 @@ def test_half_line_weighted_kernel_integral_two_routes():
     # the kernel's own right-half moment against both
     tau, c, lam = 1.0, 2.0, 1.0
     nk = effective_kernel(Kernel.weak(tau), c)
-    f = lambda s: float(np.interp(s, nk.s, nk.w, left=0.0, right=0.0)) * math.exp(-lam * s)
-    route1 = quad_adaptive(f, (0.0, float(nk.s[-1])), 1e-10)
+    f = lambda s, k: np.interp(s, nk.s, nk.w, left=0.0, right=0.0) * np.exp(-lam * s)
+    [route1] = quad_adaptive(f, [0.0], [nk.s[-1]], 1e-10)
     half = math.sqrt(c * c / 4.0 + 1.0 / tau)
     rate_right = half - c / 2.0
     route2 = 1.0 / (2.0 * tau * half * (lam + rate_right))

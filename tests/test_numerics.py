@@ -9,6 +9,7 @@ from kolwave.errors import (
     BracketError,
     FieldEvaluationError,
     PreconditionError,
+    QuadratureError,
 )
 from kolwave.numerics import (
     _DP_A,
@@ -25,7 +26,8 @@ from kolwave.numerics import (
     maximize_scalar,
     quad_adaptive,
 )
-from kolwave.numerics import _dp_step, _hermite, _hermite_lag
+from kolwave import numerics
+from kolwave.numerics import _QUAD_BLOCK, _dp_step, _hermite, _hermite_lag
 
 
 def test_grid_nodes_and_invariants():
@@ -472,14 +474,83 @@ def test_maximize_never_below_scan():
 
 
 def test_quad_finite_polynomial():
-    val = quad_adaptive(lambda s: s * s, (0.0, 1.0), 1e-12)
+    [val] = quad_adaptive(lambda s, k: s * s, [0.0], [1.0], 1e-12)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_quad_needs_a_finite_domain():
+    # one bad domain refuses the whole batch
     for domain in ((0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0)):
+        lo, hi = [0.0, domain[0], -1.0], [1.0, domain[1], 2.0]
         with pytest.raises(PreconditionError):
-            quad_adaptive(lambda s: math.exp(-abs(s)), domain, 1e-10)
+            quad_adaptive(lambda s, k: np.exp(-np.abs(s)), lo, hi, 1e-10)
+
+
+@pytest.mark.parametrize("open_cap", [None, 64], ids=["default", "split-often"])
+def test_quad_batch_across_blocks_equals_each_integral_alone(monkeypatch, open_cap):
+    if open_cap is not None:  # blocks then refine in halves by integral, down to one
+        monkeypatch.setattr(numerics, "_QUAD_OPEN", open_cap)
+    m = 2 * _QUAD_BLOCK + 5
+    rng = np.random.default_rng(3)
+    q = rng.uniform(0.5, 40.0, m)
+    lo = rng.uniform(-2.0, 0.0, m)
+    hi = lo + rng.uniform(0.1, 3.0, m)
+
+    def f(x, k):
+        return q[k] * np.cos(q[k] * x)
+
+    batch = quad_adaptive(f, lo, hi, 1e-10)
+    alone = [quad_adaptive(lambda x, k, j=j: f(x, k + j), lo[j:j + 1], hi[j:j + 1], 1e-10)[0]
+             for j in range(m)]
+    assert np.array_equal(batch, alone)
+    assert np.allclose(batch, np.sin(q * hi) - np.sin(q * lo), rtol=0.0, atol=1e-8)
+
+
+def test_quad_fails_at_once_on_a_non_finite_integrand():
+    calls = []
+
+    def nan_everywhere(x, k):
+        calls.append(len(x))
+        return np.full(len(x), np.nan)
+
+    with pytest.raises(QuadratureError, match="nan"):
+        quad_adaptive(nan_everywhere, [0.0, 1.0], [1.0, 2.0], 1e-10)
+    assert len(calls) == 1  # the coarse scan
+
+    def nan_at_a_refined_node(x, k):  # 1/32 is first sampled at the first refinement
+        calls.append(len(x))
+        return np.where(x == 1.0 / 32.0, np.nan, x * x)
+
+    calls.clear()
+    with pytest.raises(QuadratureError, match="0.03125"):
+        quad_adaptive(nan_at_a_refined_node, [0.0], [1.0], 1e-10)
+    assert len(calls) == 3  # scan, panels, first refinement
+
+
+def test_quad_exhausts_its_depth_on_a_step_at_a_tiny_tolerance():
+    with pytest.raises(QuadratureError, match="depth"):
+        quad_adaptive(lambda x, k: (x > 1.0 / 3.0).astype(float), [0.0], [1.0], 1e-300)
+
+
+def test_quad_exhausts_its_budget_on_an_unresolved_oscillation():
+    with pytest.raises(QuadratureError, match="budget"):
+        quad_adaptive(lambda x, k: np.sin(1e9 * x), [0.0], [1.0], 1e-12)
+
+
+def test_quad_memory_stays_bounded_when_a_whole_block_cannot_converge():
+    # one such integral alone peaks near 17 MB before its budget runs out; a
+    # block of them refined level by level together would hold 64 times that
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="budget"):
+            quad_adaptive(lambda x, k: np.sin(1e9 * x), np.zeros(_QUAD_BLOCK),
+                          np.ones(_QUAD_BLOCK), 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_cubic_roots_three_real():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kolwave.errors import (
+    MomentError,
     PreconditionError,
     SubcriticalSpeedError,
     UnsupportedError,
@@ -356,6 +357,34 @@ def test_blocked_sweep_matches_plain_loop(e):
             want[i] = e * want[i - 1] + g[i]
         got = _sweep(_sweep_tables(e, n), g[1:], 0.7)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rate", [25.0 / 16.0 + 0.01, 62.6, 219.0, 599.0])
+def test_sweep_tables_stay_finite_for_a_tiny_ratio(rate):
+    # past rate 25/16 the 16-node floor binds; past 37.5 it would overflow e**-15
+    e, n = math.exp(-rate), 200
+    _, pw, inv = _sweep_tables(e, n)
+    assert np.isfinite(pw).all() and np.isfinite(inv).all() and pw[-1] > 0.0
+    assert len(pw) == (16 if rate < 37.5 else max(1, int(600.0 / rate)))
+    rng = np.random.default_rng(13)
+    g = rng.uniform(0.5, 1e12, n)
+    want = np.empty(n)
+    want[0] = 0.7
+    for i in range(1, n):
+        want[i] = e * want[i - 1] + g[i]
+    assert np.allclose(_sweep((e, pw, inv), g[1:], 0.7), want, rtol=1e-12, atol=0.0)
+
+
+def test_green_operator_refuses_a_ratio_below_the_sweep_range():
+    with pytest.raises(PreconditionError, match="z1\\*h"):
+        _GreenOperator(-30_000.0, 30_002.5, 0.02, 100, 0.5)
+
+
+def test_bound_refuses_a_right_moment_that_underflows():
+    with pytest.raises(MomentError, match="underflows"):
+        apriori_bound(2.5, Kernel.discrete(1e300), GrowthModel.kpp())
+    with pytest.raises(MomentError, match="underflows"):  # 1/moment overflows
+        apriori_bound(2.5, Kernel.discrete(568.0), GrowthModel.kpp())
 
 
 @pytest.fixture(scope="module", params=[2.5, 3.2], ids=lambda c: f"c={c}")
