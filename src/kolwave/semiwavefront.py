@@ -11,6 +11,11 @@ sweep, run forwards and on the reversed grid: a one-pass recurrence, exact
 for piecewise-linear integrands, with the half-infinite tail closed
 analytically.  Weights and power tables are built once per front, and
 every sweep runs in blocks (one cumsum over whole chunks, a scalar carry).
+N_c * phi runs through the comb of effective_kernel: np.correlate for atoms
+and short combs, a product with the comb's rFFT (built once per front) for
+combs long enough that taps*n outweighs the FFT.  A front whose grid nodes
+times max_iters exceeds a fixed work budget is refused before its grid is
+sampled.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DivergenceError,
     InvarianceBreachError,
     KolwaveError,
     MomentError,
@@ -132,16 +138,24 @@ class UpperSolution:
     beta: float
     lam: float
     mu: float
-    coef: float
+    jump: float  # C e^(mu t_join): the gap between e^(lam t) and the front at the join
     t_join: float
     zhat: float
+
+    @property
+    def coef(self) -> float:
+        """C, which underflows to 0 for fast fronts (large mu*t_join)."""
+        return self.jump * math.exp(-self.mu * self.t_join)
 
     def __call__(self, t):
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         left = t <= self.t_join
-        out[left] = np.exp(self.lam * t[left]) - self.coef * np.exp(self.mu * t[left])
+        # C e^(mu t) as jump*e^(mu (t - t_join)): at most jump on the left
+        # branch, where C*e^(mu t) would form 0*inf once C underflows
+        out[left] = (np.exp(self.lam * t[left])
+                     - self.jump * np.exp(self.mu * (t[left] - self.t_join)))
         out[~left] = 2.0 * self.beta - self.beta * np.exp(self.zhat * (t[~left] - self.t_join))
         return float(out[0]) if scalar else out
 
@@ -168,8 +182,7 @@ def kpp_upper_solution(c: float, g0: float, beta: float) -> UpperSolution:
     zhat = 0.5 * (c - math.sqrt(c * c + 4.0 * g0))  # stable rate of the upper branch
     a_join = beta * (mu + zhat) / (mu - lam)  # mu - |zhat|
     t_join = math.log(a_join) / lam
-    coef = (a_join - beta) * math.exp(-mu * t_join)
-    return UpperSolution(c=c, g0=g0, beta=beta, lam=lam, mu=mu, coef=coef,
+    return UpperSolution(c=c, g0=g0, beta=beta, lam=lam, mu=mu, jump=a_join - beta,
                          t_join=t_join, zhat=zhat)
 
 
@@ -364,25 +377,62 @@ class _GreenOperator:
         return (self.left(r) + self.right(r[::-1])[::-1]) / self.width
 
 
+# Work ratio taps*n / (nfft*log2(nfft)) above which the comb is applied by
+# FFT: np.correlate costs taps*n multiply-adds, one FFT sweep (rfft,
+# product, irfft) about nfft*log2(nfft).  Timed on a 2-core Xeon with
+# numpy 2.4, the two cost alike at ratios of 5 to 18 (the lower end for a
+# few thousand nodes, the upper for 20k-60k), and the FFT wins 4.7x at
+# 5,918 nodes x 1,574 taps (ratio 87), 15x at 12,849 x 3,969 and 55x at
+# 18,660 x 14,449.  10 sits inside the crossover, where either path costs
+# about the same; 1-2 tap atoms (ratio below 1) always stay direct.
+_FFT_GAIN = 10.0
+
+
+def _fft_length(taps: int, n: int, size: int) -> int:
+    """Power-of-two FFT length for a comb of `taps` over n nodes padded to
+    `size` samples, or 0 when np.correlate is the cheaper path."""
+    nfft = 1 << (size - 1).bit_length()
+    return nfft if taps * n > _FFT_GAIN * nfft * math.log2(nfft) else 0
+
+
 def _convolver(kernel: Kernel, c: float, h: float, n: int):
-    """phi -> N_c * phi on the grid, through the comb of effective_kernel."""
+    """phi -> N_c * phi on the grid, through the comb of effective_kernel,
+    with phi frozen at phi[0] left of the grid and at phi[-1] right of it.
+
+    The comb is applied by np.correlate, or, when taps*n outweighs the FFT
+    cost _FFT_GAIN-fold, as one product with the comb's rFFT, built once
+    per front: each sweep is one rfft of the padded samples, one product
+    and one irfft.  The padded samples fit in nfft, so the slice read back
+    never wraps."""
     m0, wts = effective_kernel(kernel, c).convolve_weights(h)
     m = len(wts)
     pad_l = max(0, m0 + m)
     pad_r = max(0, -m0 + 1)
-    wrev = wts[::-1]
     base = pad_l - m0 - m + 1
+    size = pad_l + n + pad_r
+    nfft = _fft_length(m, n, size)
+    padded = np.zeros(nfft or size)
+    if nfft:
+        spectrum = np.fft.rfft(wts, nfft)
+        lo = base + m - 1  # the correlate's valid index k is the convolution's k + m - 1
+    else:
+        wrev = wts[::-1]
 
     def conv(phi: np.ndarray) -> np.ndarray:
-        padded = np.concatenate((
-            np.full(pad_l, phi[0]),
-            phi,
-            np.full(pad_r, phi[-1]),
-        ))
-        full = np.correlate(padded, wrev, mode="valid")
-        return full[base: base + n]
+        padded[:pad_l] = phi[0]
+        padded[pad_l: pad_l + n] = phi
+        padded[pad_l + n: size] = phi[-1]
+        if nfft:
+            return np.fft.irfft(np.fft.rfft(padded) * spectrum, nfft)[lo: lo + n]
+        return np.correlate(padded, wrev, mode="valid")[base: base + n]
 
     return conv
+
+
+# Largest grid nodes x max_iters one front may sweep: about 14 s at the
+# 4.7e-8 s per node-sweep of the traced bench fronts.  It admits the c = 50
+# KPP front (106,729 nodes x 1,500 sweeps) and refuses c = 500 (1.06M nodes).
+_WORK_BUDGET = 300_000_000
 
 
 @dataclass
@@ -411,8 +461,13 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
     growth, kernel, c = params.growth, params.kernel, params.c
     grid = config.grid
     h = grid.dt
-    ts = grid.nodes()
     n = grid.n
+    if n * config.max_iters > _WORK_BUDGET:
+        raise UnsupportedError(
+            f"a front at c={c:g} on n={n} nodes may take {config.max_iters} sweeps, "
+            f"past the budget of {_WORK_BUDGET:.0e} node-sweeps (the default grid "
+            f"grows linearly in c)")
+    ts = grid.nodes()
 
     bound = apriori_bound(c, kernel, growth)
     if config.beta <= bound.U:
@@ -449,6 +504,8 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
             raise InvarianceBreachError(
                 "iterate escaped the sandwich; revisit b, beta, or the grid span")
         delta = float(np.max(np.abs(phi_next - phi)))
+        if not math.isfinite(delta):
+            raise DivergenceError(f"Picard sweep {iterations} left non-finite samples")
         history.append(delta)
         phi = phi_next
         if delta < config.tol:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -262,6 +263,18 @@ def test_iterate_rejects_a_grid_past_the_node_cap(tmp_path):
     config.write_text(json.dumps({"b": 2.0, "beta": 3.0,
                                   "grid": {"t0": -10.0, "dt": 1e-12, "n": 10 ** 13}}))
     assert run(tmp_path / "json", "iterate", "--model", "kpp", "--config", str(config)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "iterate --model kpp --kernel discrete --c 4990 --tau 0.5",
+    "check-asymptotics --model food --gamma 0.0067 --kernel dirac --c 4255",
+])
+def test_front_past_the_work_budget_exits_2_at_once(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
+    assert run(tmp_path, *argv.split()) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "budget" in err and "c=" in err and "n=" in err
 
 
 @pytest.mark.parametrize("tau, code, says", [("12", 0, "converged="), ("16", 2, "z1*h"),

@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 from kolwave.errors import (
+    DivergenceError,
     MomentError,
     PreconditionError,
     SubcriticalSpeedError,
     UnsupportedError,
 )
-from kolwave.models import GrowthModel, Kernel, WaveParams
+from kolwave import semiwavefront
+from kolwave.models import GrowthModel, Kernel, WaveParams, effective_kernel
 from kolwave.numerics import Grid
 from kolwave.profiles import MONOTONE
 from kolwave.spectral import kpp_roots
 from kolwave.semiwavefront import (
     _GreenOperator,
+    _convolver,
+    _fft_length,
     _sweep,
     _sweep_tables,
     apriori_bound,
@@ -149,6 +153,21 @@ def test_upper_solution_residual_small_off_junction():
     ts = np.linspace(-15.0, 20.0, 2001)
     ts = ts[np.abs(ts - up.t_join) > 1e-3]
     assert np.max(np.abs(up.residual(ts))) < 1e-6
+
+
+def test_upper_solution_samples_stay_finite_for_a_fast_front():
+    # at c = 50, mu*t_join is far past 709: the coefficient C of e^(mu t)
+    # underflows to 0 while e^(mu t) overflows short of the join
+    params = WaveParams(GrowthModel.kpp(), Kernel.discrete(0.5), 50.0)
+    config = default_config(params)
+    up = kpp_upper_solution(50.0, 1.0, config.beta)
+    assert up.coef == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = up(config.grid.nodes())
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.diff(vals) >= -1e-12)
+    assert up(up.t_join) == pytest.approx(config.beta, rel=1e-12)
 
 
 def test_upper_solution_needs_supercritical_speed():
@@ -521,3 +540,92 @@ def test_critical_speed_probe_reports_three_members():
     assert all(res.converged for _, res in out)
     sups = [res.profile.sup for _, res in out]
     assert max(sups) <= 1.0 + 1e-6
+
+
+def test_picard_loop_refuses_a_non_finite_sweep(monkeypatch):
+    def poisoned(kernel, c, h, n):
+        return lambda phi: np.full(n, np.nan)
+
+    monkeypatch.setattr(semiwavefront, "_convolver", poisoned)
+    params = kpp_params()
+    with pytest.raises(DivergenceError, match="non-finite"):
+        iterate_front(default_config(params), params)
+
+
+def test_work_budget_refuses_a_fast_front_before_sampling_its_grid(monkeypatch):
+    def nodes(grid):
+        raise AssertionError("grid sampled before the budget check")
+
+    monkeypatch.setattr(Grid, "nodes", nodes)
+    params = WaveParams(GrowthModel.kpp(), Kernel.discrete(0.5), 4990.0)
+    with pytest.raises(UnsupportedError, match=r"c=4990 on n=6414750 nodes"):
+        iterate_front(default_config(params), params)
+
+
+# ------------------------------------------------------- convolution comb
+
+
+def _padded_correlate(kernel, c, h, phi):
+    """N_c * phi by np.correlate over phi padded with its end values far
+    past either end of the comb."""
+    m0, wts = effective_kernel(kernel, c).convolve_weights(h)
+    m = len(wts)
+    pad = abs(m0) + m + 1
+    padded = np.concatenate((np.full(pad, phi[0]), phi, np.full(pad, phi[-1])))
+    start = pad - m0 - m + 1
+    return np.correlate(padded, wts[::-1], mode="valid")[start: start + len(phi)], wts
+
+
+def _comb_path(kernel, c, h, n):
+    m0, wts = effective_kernel(kernel, c).convolve_weights(h)
+    m = len(wts)
+    return _fft_length(m, n, max(0, m0 + m) + n + max(0, 1 - m0))
+
+
+def _ramp(n, h):
+    ts = -20.0 + h * np.arange(n)
+    return 1.2 / (1.0 + np.exp(-ts)) + 0.3 * np.sin(0.7 * ts) * np.exp(-0.05 * ts * ts)
+
+
+_LONG_COMBS = {
+    "weak-0.5": Kernel.weak(0.5),
+    "weak-2": Kernel.weak(2.0),
+    "table-straddling-0": Kernel.tabulated([-6.0, -1.0, 0.5, 9.0], [0.0, 1.0, 2.0, 0.0]),
+    "table-left-of-0": Kernel.tabulated([-14.0, -9.0, -3.0], [0.0, 1.0, 0.0]),
+    "table-right-of-0": Kernel.tabulated([2.0, 4.0, 16.0], [0.0, 3.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LONG_COMBS))
+def test_long_comb_by_fft_matches_correlate(name):
+    kernel, c, h, n = _LONG_COMBS[name], 2.5, 0.01, 6000
+    assert _comb_path(kernel, c, h, n) > 0
+    conv = _convolver(kernel, c, h, n)
+    phi = _ramp(n, h)
+    want, wts = _padded_correlate(kernel, c, h, phi)
+    scale = np.sum(np.abs(wts)) * np.max(np.abs(phi))
+    assert np.max(np.abs(conv(phi) - want)) <= 1e-14 * scale
+    # a second sweep reuses the comb's spectrum and padding buffer
+    assert np.max(np.abs(conv(2.0 * phi) - 2.0 * want)) <= 2e-14 * scale
+    flat = np.full(n, 0.75)
+    assert np.max(np.abs(conv(flat) - np.sum(wts) * 0.75)) <= 1e-14 * np.sum(np.abs(wts)) * 0.75
+
+
+@pytest.mark.parametrize("name", list(_LONG_COMBS))
+def test_long_comb_on_a_short_grid_stays_direct(name):
+    kernel, c, h, n = _LONG_COMBS[name], 2.5, 0.5, 60
+    assert _comb_path(kernel, c, h, n) == 0
+    phi = _ramp(n, h)
+    want, _ = _padded_correlate(kernel, c, h, phi)
+    np.testing.assert_array_equal(_convolver(kernel, c, h, n)(phi), want)
+
+
+@pytest.mark.parametrize("kernel, taps", [(Kernel.dirac(), 1), (Kernel.discrete(0.4), 1),
+                                          (Kernel.discrete(0.613), 2)])
+def test_atom_combs_stay_direct_and_bitwise(kernel, taps):
+    c, h, n = 2.5, 0.02, 200_000
+    assert len(effective_kernel(kernel, c).convolve_weights(h)[1]) == taps
+    assert _comb_path(kernel, c, h, n) == 0
+    phi = _ramp(n, h)
+    want, _ = _padded_correlate(kernel, c, h, phi)
+    np.testing.assert_array_equal(_convolver(kernel, c, h, n)(phi), want)
