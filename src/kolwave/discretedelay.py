@@ -73,14 +73,14 @@ def _shoot(gamma: float, tau: float, eps: float, span_length: float,
     cap_eps = max(10.0 * tol, 1e-9)
 
     def history(t):
-        return np.array([_AMPLITUDE * math.exp(lam * t)])
+        return (_AMPLITUDE * math.exp(lam * t),)
 
     def history_deriv(t):
-        return np.array([lam * _AMPLITUDE * math.exp(lam * t)])
+        return (lam * _AMPLITUDE * math.exp(lam * t),)
 
     if eps == 0.0:
         def field(t, y, lag):
-            return np.array([y[0] * growth.g(lag.value[0])])
+            return (y[0] * growth.g(lag.value[0]),)
     else:
         def field(t, y, lag):
             g = growth.g(lag.value[0])
@@ -88,7 +88,7 @@ def _shoot(gamma: float, tau: float, eps: float, span_length: float,
             denom = 1.0 - eps * g
             if denom < 0.5:
                 raise FieldEvaluationError("slow-manifold slaving lost dominance")
-            return np.array([(y[0] * g + eps * y[0] * gp * lag.slope[0]) / denom])
+            return ((y[0] * g + eps * y[0] * gp * lag.slope[0]) / denom,)
 
     chunk = max(5.0 * tau, 10.0)
     t_lo = 0.0

@@ -71,24 +71,27 @@ class GrowthModel:
         return cls("kpp")
 
     def g(self, u):
-        u = np.asarray(u, dtype=float)
+        """G(u); a float stays a Python float, anything else is an array."""
+        u = u if type(u) is float else np.asarray(u, dtype=float)
         if self.kind == "food-limited":
             out = (1.0 - u) / (1.0 + self.gamma * u)
         elif self.kind == "quadratic":
             out = self.a + self.b * u - (self.a + self.b) * u * u
         else:
             out = 1.0 - u
-        return out if out.ndim else float(out)
+        return out if type(out) is float or out.ndim else float(out)
 
     def g_prime(self, u):
-        u = np.asarray(u, dtype=float)
+        """G'(u), with floats and arrays as in `g`."""
+        u = u if type(u) is float else np.asarray(u, dtype=float)
         if self.kind == "food-limited":
-            out = -(1.0 + self.gamma) / (1.0 + self.gamma * u) ** 2
+            d = 1.0 + self.gamma * u
+            out = -(1.0 + self.gamma) / (d * d)
         elif self.kind == "quadratic":
             out = self.b - 2.0 * (self.a + self.b) * u
         else:
             out = -np.ones_like(u)
-        return out if out.ndim else float(out)
+        return out if type(out) is float or out.ndim else float(out)
 
     @property
     def g0(self) -> float:

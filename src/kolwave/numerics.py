@@ -5,6 +5,12 @@ event location, delay integration by the method of steps, bracketing root
 solving, lower-edge search, scalar maximisation, and adaptive quadrature of
 many integrals over finite domains at once.  Everything here is
 deterministic: fixed inputs give bit-identical outputs.
+
+The stepping core works on tuples of Python floats: states of one or two
+components are far cheaper that way than as numpy arrays, and float
+arithmetic raises (ZeroDivisionError, OverflowError) where numpy would
+only warn.  The dense output of a finished run is built into numpy arrays
+once.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ _EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
 _MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
 _MAX_GRID_NODES = 10_000_000  # nodes of one Grid: 80 MB per sampled array
 
-Gauge = Callable[[float, np.ndarray], float]  # an event is a sign change of g(t, y)
+Gauge = Callable[[float, tuple], float]  # an event is a sign change of g(t, y)
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,10 @@ class Grid:
 
 
 class Lag(NamedTuple):
-    """Lagged state y(t - tau) and its derivative."""
+    """Lagged state y(t - tau) and its derivative, one float per component."""
 
-    value: np.ndarray
-    slope: np.ndarray
+    value: tuple
+    slope: tuple
 
 
 def _hermite(t, t0, t1, y0, y1, f0, f1):
@@ -104,9 +110,21 @@ def _hermite_lag(t, t0, t1, y0, y1, f0, f1) -> Lag:
                + (3 * th2 - 2 * th) * f1)
 
 
+def _hermite_state(t, t0, t1, y0, y1, f0, f1) -> tuple:
+    """`_hermite` at t, one component of the state tuples at a time."""
+    return tuple([_hermite(t, t0, t1, a, b, c, d) for a, b, c, d in zip(y0, y1, f0, f1)])
+
+
+def _lag_state(t, t0, t1, y0, y1, f0, f1) -> Lag:
+    """`_hermite_lag` at t, one component of the state tuples at a time."""
+    reads = [_hermite_lag(t, t0, t1, a, b, c, d) for a, b, c, d in zip(y0, y1, f0, f1)]
+    return Lag(tuple([r.value for r in reads]), tuple([r.slope for r in reads]))
+
+
 class Trajectory:
     """Dense output of one integration: exact at accepted nodes, cubic
-    Hermite in between."""
+    Hermite in between; the node arrays are built once from the node lists
+    of a finished run."""
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray):
         self.ts = ts
@@ -171,10 +189,6 @@ _DP_A = (
 _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-# The tableau as rows over the (7, d) stage matrix: row i - 1 forms stage i's
-# state, row 5 the 5th-order solution and row 6 the error estimate.
-_DP_ROWS = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A[1:] + (_DP_B, _DP_E)])
-
 
 def _check_span(span, tol: float) -> tuple[float, float]:
     if not (1e-13 < tol < 1e-2):
@@ -185,9 +199,21 @@ def _check_span(span, tol: float) -> tuple[float, float]:
     return t0, t1
 
 
-def _eval_field(field_fn, t, y):
-    f = np.asarray(field_fn(t, y), dtype=float)
-    if not np.isfinite(f).all():
+def _floats(v) -> tuple:
+    """A state given as a number, sequence or array, as a tuple of floats."""
+    return tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
+
+
+def _eval_field(field_fn, t, y) -> tuple:
+    """field_fn(t, y) as a tuple of finite floats, one per component of y."""
+    try:
+        f = tuple(map(float, field_fn(t, y)))
+    except (ZeroDivisionError, OverflowError) as exc:  # a runaway state
+        raise FieldEvaluationError(f"field failed at t={t}: {exc}") from exc
+    if len(f) != len(y):
+        raise FieldEvaluationError(
+            f"field returned {len(f)} components for a state of {len(y)} at t={t}")
+    if not all(map(math.isfinite, f)):
         raise FieldEvaluationError(f"field returned non-finite value at t={t}")
     return f
 
@@ -199,21 +225,50 @@ def _min_step(t: float) -> float:
     return _STEP_FLOOR * max(1.0, abs(t))
 
 
+def _rms(xs) -> float:
+    acc = 0.0
+    for x in xs:
+        acc += x * x
+    return math.sqrt(acc / len(xs))
+
+
+# The tableau entries by name.  `_dp_step` writes each stage sum out left to
+# right (not with `sum()`, whose float sums are compensated from Python 3.12,
+# so steps would depend on the Python version) and leaves out the zero
+# weights of stage 2 in _DP_B and _DP_E.
+_, _C2, _C3, _C4, _C5, _ = _DP_C
+((), (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65)) = _DP_A
+_B1, _, _B3, _B4, _B5, _B6 = _DP_B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
+
 def _dp_step(field, t, y, f, h, tol):
-    """One Dormand-Prince trial step from (t, y) with f = field(t, y).
+    """One Dormand-Prince trial step from (t, y) with f = field(t, y), all
+    tuples of floats; each stage sum runs left to right over its tableau row.
 
     Returns (y_new, f_new, err, scale): the 5th-order state, the field
     there, the scaled RMS error norm (accept when <= 1) and the per-component
     error scale."""
-    k = np.zeros((7, y.size))
-    k[0] = f
-    for i in range(1, 6):
-        k[i] = _eval_field(field, t + _DP_C[i] * h, y + h * (_DP_ROWS[i - 1] @ k))
-    y_new = y + h * (_DP_ROWS[5] @ k)
-    f_new = k[6] = _eval_field(field, t + h, y_new)
-    err_vec = h * (_DP_ROWS[6] @ k)
-    sc = tol * 1e-3 + tol * np.maximum(np.abs(y), np.abs(y_new))
-    return y_new, f_new, float(np.sqrt(np.mean((err_vec / sc) ** 2))), sc
+    k1 = f
+    k2 = _eval_field(field, t + _C2 * h, tuple([v + h * (_A21 * a) for v, a in zip(y, k1)]))
+    k3 = _eval_field(field, t + _C3 * h, tuple([
+        v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)]))
+    k4 = _eval_field(field, t + _C4 * h, tuple([
+        v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]))
+    k5 = _eval_field(field, t + _C5 * h, tuple([
+        v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+        for v, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+    k6 = _eval_field(field, t + h, tuple([
+        v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+        for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+    y_new = tuple([v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                   for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
+    k7 = _eval_field(field, t + h, y_new)
+    sc = tuple([tol * 1e-3 + tol * max(abs(v), abs(w)) for v, w in zip(y, y_new)])
+    err = _rms([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q) / w
+                for a, c, d, e, g, q, w in zip(k1, k3, k4, k5, k6, k7, sc)])
+    return y_new, k7, err, sc
 
 
 def _refine_event(gauge, traj_eval, lo, hi, glo, ghi):
@@ -234,7 +289,10 @@ def _refine_event(gauge, traj_eval, lo, hi, glo, ghi):
 
 def _checked_gauge(gauge: Gauge) -> Gauge:
     def checked(t, y):
-        g = gauge(t, y)
+        try:
+            g = gauge(t, y)
+        except (ZeroDivisionError, OverflowError) as exc:  # a runaway state
+            raise FieldEvaluationError(f"event gauge failed at t={t}: {exc}") from exc
         if not math.isfinite(g):
             raise FieldEvaluationError(f"event gauge returned non-finite value at t={t}")
         return g
@@ -266,7 +324,7 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
     while t < t1:
         steps += 1
         if steps > _MAX_STEPS:
-            raise DivergenceError("step budget exhausted", time=t, state=y.copy())
+            raise DivergenceError("step budget exhausted", time=t, state=y)
         h = min(h, t1 - t)
         for bp in breakpoints:
             if t < bp - 1e-14 and t + h > bp:
@@ -275,7 +333,7 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
         if 0.0 < t1 - (t + h) < _min_step(t + h):
             h = t1 - t
         if h < _min_step(t):
-            raise DivergenceError("step size underflow", time=t, state=y.copy())
+            raise DivergenceError("step size underflow", time=t, state=y)
 
         y_new, f_new, err, _ = attempt(t, y, f, h)
         if err is None or err > 1.0:
@@ -284,9 +342,9 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
 
         t_new = t + h
         ts.append(t_new)
-        ys.append(y_new.copy())
-        fs.append(f_new.copy())
-        seg_eval = lambda tt: _hermite(tt, t, t_new, y, y_new, f, f_new)
+        ys.append(y_new)
+        fs.append(f_new)
+        seg_eval = lambda tt: _hermite_state(tt, t, t_new, y, y_new, f, f_new)
         for i, g in enumerate(gauges):
             g0, g1, z = g_last[i], g(t_new, y_new), zero_run[i]
             if g1 == 0.0:
@@ -322,19 +380,24 @@ def integrate_ode(
 ):
     """Integrate y' = field(t, y) over span with adaptive 5(4) stepping.
 
+    `field` and the gauges receive the state y as a tuple of floats; the
+    field returns any sequence of floats of the same length.  A ZeroDivision
+    or Overflow error it raises, or a non-finite value it returns, is a
+    FieldEvaluationError.
+
     Returns (trajectory, times): the dense output, and one ascending list of
     refined sign-change times per gauge g(t, y) in `events`, followed by the
     list of `stop` when it is given.  The first sign change of `stop`
     truncates the trajectory there.
     """
     t0, t1 = _check_span(span, tol)
-    y = np.atleast_1d(np.asarray(state0, dtype=float)).copy()
+    y = _floats(state0)
     f = _eval_field(field, t0, y)
 
     # initial step from the scaled size of y and f
-    sc = tol * 1e-3 + tol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
+    sc = [tol * 1e-3 + tol * abs(v) for v in y]
+    d0 = _rms([v / w for v, w in zip(y, sc)])
+    d1 = _rms([v / w for v, w in zip(f, sc)])
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6
 
     attempt = lambda t, y, f, h: _dp_step(field, t, y, f, h, tol)
@@ -405,9 +468,11 @@ def integrate_dde(
     """Method-of-steps integration of y'(t) = field(t, y(t), lag) with a
     single constant lag tau.
 
-    `field` receives `lag = Lag(value, slope)` holding y(t - tau) and its
-    derivative read from the stored dense output (or from `history` and
-    `history_deriv` for t - tau below the start).  Pass `prior` to continue
+    `field` receives the state y(t) and `lag = Lag(value, slope)` holding
+    y(t - tau) and its derivative, each a tuple of floats; the lag is read
+    from the nodes of this run (or from `history` and `history_deriv`, or
+    `prior`, for t - tau at or below the start), and the field returns any
+    sequence of floats, as for `integrate_ode`.  Pass `prior` to continue
     a previous delay integration from its end: `history` and
     `history_deriv` are then ignored and the result is one flat dense
     output holding prior's history and segments plus the new one, so
@@ -428,23 +493,22 @@ def integrate_dde(
             raise PreconditionError("a continued delay run must start where prior ends")
         hist, hist_d = prior, prior.derivative
     else:
-        hist = lambda t: np.atleast_1d(np.asarray(history(t), dtype=float))
-        hist_d = lambda t: np.atleast_1d(np.asarray(history_deriv(t), dtype=float))
+        hist, hist_d = history, history_deriv
 
     ts = [t0]
-    ys = [hist(t0).astype(float).copy()]
+    ys = [_floats(hist(t0))]
 
     def lag_at(s: float) -> Lag:
         """y(s) and y'(s) from the history or the nodes accepted so far."""
         if s <= t0:
-            return Lag(hist(s), hist_d(s))
+            return Lag(_floats(hist(s)), _floats(hist_d(s)))
         if len(ts) == 1 or s >= ts[-1]:
-            return Lag(ys[-1].copy(), fs[-1].copy())
+            return Lag(ys[-1], fs[-1])
         i = bisect.bisect_right(ts, s) - 1  # ts[0] < s < ts[-1]: an interior node
-        return _hermite_lag(s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+        return _lag_state(s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
 
-    def committed_field(t: float, y: np.ndarray) -> np.ndarray:
-        return np.asarray(field(t, y, lag_at(t - tau)), dtype=float)
+    def committed_field(t: float, y: tuple):
+        return field(t, y, lag_at(t - tau))
 
     fs = [_eval_field(committed_field, t0, ys[0])]
 
@@ -464,16 +528,16 @@ def integrate_dde(
 
         # the lag reaches into the step: sweep on the provisional interpolant,
         # starting from an Euler predictor
-        y_prov, f_prov = y + h * f, f.copy()
+        y_prov, f_prov = tuple([v + h * d for v, d in zip(y, f)]), f
 
-        def step_field(tt: float, yy: np.ndarray) -> np.ndarray:
+        def step_field(tt: float, yy: tuple):
             s = tt - tau
-            lag = lag_at(s) if s <= t + 1e-14 else _hermite_lag(s, t, t_new, y, y_prov, f, f_prov)
-            return np.asarray(field(tt, yy, lag), dtype=float)
+            lag = lag_at(s) if s <= t + 1e-14 else _lag_state(s, t, t_new, y, y_prov, f, f_prov)
+            return field(tt, yy, lag)
 
         for _ in range(8):
             y_new, f_new, err, sc = _dp_step(step_field, t, y, f, h, tol)
-            drift = float(np.max(np.abs(y_new - y_prov) / sc))
+            drift = max([abs(a - b) / w for a, b, w in zip(y_new, y_prov, sc)])
             y_prov, f_prov = y_new, f_new
             if drift < 0.05:
                 return y_new, f_new, err, sc
@@ -485,7 +549,7 @@ def integrate_dde(
     if prior is not None:
         return DdeTrajectory(prior.t_start, prior.history, prior.history_deriv,
                              prior.segments + [traj]), times
-    return DdeTrajectory(t0, hist, hist_d, [traj]), times
+    return DdeTrajectory(t0, history, history_deriv, [traj]), times
 
 
 def find_root(f, bracket, tol: float = 1e-12) -> float:

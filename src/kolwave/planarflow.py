@@ -60,23 +60,24 @@ class FlowField:
     gamma: float
     tau: float
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, y) -> tuple[float, float]:
         phi, psi = y
         g1 = (1.0 - psi) / (1.0 + self.gamma * psi)
-        return np.array([phi * g1, (phi - psi) / self.tau])
+        return phi * g1, (phi - psi) / self.tau
 
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
+    def jacobian(self, y) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The Jacobian of `rhs` at y, as two rows of floats."""
         phi, psi = y
         denom = 1.0 + self.gamma * psi
         g1 = (1.0 - psi) / denom
         g1p = -(1.0 + self.gamma) / (denom * denom)
-        return np.array([[g1, phi * g1p], [1.0 / self.tau, -1.0 / self.tau]])
+        return (g1, phi * g1p), (1.0 / self.tau, -1.0 / self.tau)
 
     def linearization_at_origin(self) -> np.ndarray:
-        return self.jacobian(np.array([0.0, 0.0]))
+        return np.array(self.jacobian((0.0, 0.0)))
 
     def linearization_at_one(self) -> np.ndarray:
-        return self.jacobian(np.array([1.0, 1.0]))
+        return np.array(self.jacobian((1.0, 1.0)))
 
 
 def flow_field(gamma: float, tau: float) -> FlowField:
@@ -164,9 +165,11 @@ def _contraction_matrix(jac: np.ndarray) -> np.ndarray:
     return np.array([[p11, p12], [p12, p22]])
 
 
-def _cramer(m: np.ndarray, b: np.ndarray, det: float) -> np.ndarray:
-    """Solution of the 2x2 system m v = b by Cramer's rule, det = det(m)."""
-    return np.array([m[1, 1] * b[0] - m[0, 1] * b[1], m[0, 0] * b[1] - m[1, 0] * b[0]]) / det
+def _cramer(m, b, det: float) -> tuple[float, float]:
+    """Solution of the 2x2 system m v = b by Cramer's rule, det = det(m);
+    m is indexed m[row][column]."""
+    return ((m[1][1] * b[0] - m[0][1] * b[1]) / det,
+            (m[0][0] * b[1] - m[1][0] * b[0]) / det)
 
 
 def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
@@ -193,7 +196,7 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     traj, (crossings, extrema, capture) = integrate_ode(
         rhs, y0, (0.0, max_span), tol,
         events=[lambda t, y: y[0] - 1.0, lambda t, y: rhs(t, y)[0]],
-        stop=lambda t, y: float(np.linalg.norm(y - e)) - r_cap,
+        stop=lambda t, y: math.hypot(y[0] - 1.0, y[1] - 1.0) - r_cap,
     )
 
     t_end = traj.t_end
@@ -268,11 +271,11 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
     if not (0.0 < eps <= EPS_MAX):
         raise PreconditionError(f"eps must lie in (0, {EPS_MAX}]")
     field = flow_field(gamma, tau)
-    eye = np.eye(2)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        m = eye - eps * field.jacobian(y)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    def rhs(t: float, y) -> tuple[float, float]:
+        (j11, j12), (j21, j22) = field.jacobian(y)
+        m = ((1.0 - eps * j11, -eps * j12), (-eps * j21, 1.0 - eps * j22))
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if abs(det) < 1e-10:
             raise FieldEvaluationError("slow-manifold projection singular")
         return _cramer(m, field.rhs(t, y), det)

@@ -290,6 +290,16 @@ def test_iterate_with_a_long_discrete_delay_ends_without_nan(tmp_path, capsys, t
         assert "nan" not in path.read_text().lower(), path.name
 
 
+def test_delay_run_whose_state_overflows_exits_3(tmp_path, capsys):
+    # the stage states overflow to inf long before the span ends; under the
+    # test suite's RuntimeWarning-as-error this also checks that no numpy
+    # overflow warning escapes first
+    assert run(tmp_path, "limit-profile", "--gamma", "9.0e-6", "--tau", "1e300",
+               "--span", "1e300") == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert _manifest(tmp_path, "limit-profile")["error"] == "FieldEvaluationError"
+
+
 def test_outputs_are_byte_reproducible(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

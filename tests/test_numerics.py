@@ -75,6 +75,30 @@ def test_field_evaluation_error_on_nan():
         integrate_ode(bad, [0.0], (0.0, 1.0), tol=1e-8)
 
 
+@pytest.mark.parametrize("where", ["field", "gauge"])
+@pytest.mark.parametrize("fn, cause", [
+    (lambda t, y: [1.0 / (1.0 - y[0])], ZeroDivisionError),
+    (lambda t, y: [math.exp(1000.0 * t)], OverflowError),  # overflows past t = 0.7098
+], ids=["zero-division", "overflow"])
+def test_float_arithmetic_error_on_a_runaway_state_is_a_field_evaluation_error(where, fn, cause):
+    if where == "field":
+        field, events = fn, []
+    else:
+        field, events = (lambda t, y: [1.0]), [lambda t, y: fn(t, y)[0]]
+    with pytest.raises(FieldEvaluationError) as info:
+        integrate_ode(field, [1.0], (0.0, 1.0), tol=1e-8, events=events)
+    assert isinstance(info.value.__cause__, cause)
+
+
+@pytest.mark.parametrize("out", [[1.0], [1.0, 2.0, 3.0]], ids=["too-short", "too-long"])
+def test_field_output_of_the_wrong_length_raises(out):
+    with pytest.raises(FieldEvaluationError, match=f"{len(out)} components for a state of 2"):
+        integrate_ode(lambda t, y: out, [1.0, 0.0], (0.0, 1.0), tol=1e-8)
+    with pytest.raises(FieldEvaluationError, match=f"{len(out)} components for a state of 2"):
+        integrate_dde(lambda t, y, lag: out, 1.0, lambda t: [1.0, 0.0], (0.0, 1.0),
+                      history_deriv=lambda t: [0.0, 0.0])
+
+
 def test_tol_domain_guard():
     with pytest.raises(PreconditionError):
         integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), tol=0.5)
@@ -83,7 +107,7 @@ def test_tol_domain_guard():
 def test_level_crossing_event_on_logistic():
     # y' = y(1-y) from 0.01 crosses 1/2 at t = ln(99)
     traj, (half,) = integrate_ode(
-        lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10,
+        lambda t, y: [y[0] * (1.0 - y[0])], [0.01], (0.0, 12.0), tol=1e-10,
         events=[lambda t, y: y[0] - 0.5],
     )
     assert len(half) == 1
@@ -94,7 +118,7 @@ def test_event_times_are_reproducible_bitwise():
     times = []
     for _ in range(2):
         _, (half,) = integrate_ode(
-            lambda t, y: y * (1.0 - y), [0.01], (0.0, 12.0), tol=1e-10,
+            lambda t, y: [y[0] * (1.0 - y[0])], [0.01], (0.0, 12.0), tol=1e-10,
             events=[lambda t, y: y[0] - 0.5],
         )
         times.append(half[0])
@@ -182,7 +206,7 @@ def test_dde_cosine_fixture():
     # y'(t) = -y(t - pi/2) with history cos keeps the solution cos.
     tau = math.pi / 2
     traj, _ = integrate_dde(
-        lambda t, y, lag: -lag.value,
+        lambda t, y, lag: [-lag.value[0]],
         tau,
         lambda t: np.array([math.cos(t)]),
         (0.0, 4 * math.pi),
@@ -197,7 +221,7 @@ def test_dde_cosine_fixture():
 def test_dde_continued_run_is_one_flat_dense_output():
     tau = math.pi / 2
     kwargs = dict(tol=1e-9, history_deriv=lambda t: np.array([-math.sin(t)]))
-    field = lambda t, y, lag: -lag.value
+    field = lambda t, y, lag: [-lag.value[0]]
     history = lambda t: np.array([math.cos(t)])
     first, _ = integrate_dde(field, tau, history, (0.0, 2 * math.pi), **kwargs)
     traj, _ = integrate_dde(field, tau, history, (first.t_end, 4 * math.pi),
@@ -210,7 +234,7 @@ def test_dde_continued_run_is_one_flat_dense_output():
 
 
 def test_dde_continued_run_must_start_at_prior_end():
-    field = lambda t, y, lag: -lag.value
+    field = lambda t, y, lag: [-lag.value[0]]
     flat = dict(history_deriv=lambda t: [0.0])
     first, _ = integrate_dde(field, 1.0, lambda t: [1.0], (0.0, 2.0), **flat)
     with pytest.raises(PreconditionError):
@@ -222,7 +246,7 @@ def test_dde_halving_tol_does_not_worsen_cosine_error():
 
     def run(tol):
         traj, _ = integrate_dde(
-            lambda t, y, lag: -lag.value,
+            lambda t, y, lag: [-lag.value[0]],
             tau,
             lambda t: np.array([math.cos(t)]),
             (0.0, 2 * math.pi),
@@ -284,7 +308,7 @@ def _dp_step_oracle(field, t, y, f, h, tol):
 
 
 @pytest.mark.parametrize("d, field", [
-    (1, lambda t, y: y * (1.0 - y) + np.sin(t)),
+    (1, lambda t, y: [y[0] * (1.0 - y[0]) + math.sin(t)]),
     (2, lambda t, y: np.array([y[1], -np.sin(y[0]) - 0.3 * y[1] + 0.5 * np.cos(t)])),
 ], ids=["1d", "2d"])
 def test_dp_step_matches_list_of_stages_oracle(d, field):
@@ -293,15 +317,13 @@ def test_dp_step_matches_list_of_stages_oracle(d, field):
         t, h, tol = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 0.5), 10 ** rng.uniform(-10, -6)
         y = rng.uniform(-2.0, 2.0, d)
         f = np.asarray(field(t, y), dtype=float)
-        y_new, f_new, err, sc = _dp_step(field, t, y, f, h, tol)
+        y_new, f_new, err, sc = _dp_step(field, t, tuple(y.tolist()), tuple(f.tolist()), h, tol)
         y_o, f_o, err_o, sc_o = _dp_step_oracle(field, t, y, f, h, tol)
-        scale = np.maximum(np.abs(y_o), 1.0)
-        assert np.all(np.abs(y_new - y_o) <= 1e-13 * scale)
-        assert np.all(np.abs(f_new - f_o) <= 1e-13 * np.maximum(np.abs(f_o), 1.0))
-        assert np.all(np.abs(sc - sc_o) <= 1e-13 * sc_o)
-        # err sums nearly cancelling stage terms and divides by sc ~ tol, so
-        # at tol 1e-10 rounding moves it by up to ~1e-7
-        assert abs(err - err_o) <= 1e-6 * max(err_o, 1.0)
+        assert all(type(v) is float for v in (*y_new, *f_new, *sc, err))
+        assert np.array_equal(y_new, y_o)
+        assert np.array_equal(f_new, f_o)
+        assert np.array_equal(sc, sc_o)
+        assert err == err_o
 
 
 def test_fused_lag_read_equals_separate_formulas_bitwise():
@@ -398,6 +420,33 @@ def test_dde_sample_equals_scalar_reads_bitwise():
             assert np.array_equal(traj(t), _hermite_oracle(first_ending_after(t), t))
         else:
             assert np.array_equal(traj(t), history(t))
+
+
+def test_every_committed_lag_read_equals_the_returned_dense_output_bitwise():
+    # lag 2*pi is longer than every step, so no read falls in the step being
+    # built; run one reads only the history, runs two and three read their
+    # start-up lags from the prior runs, and run three also its own nodes
+    tau = 2 * math.pi
+    reads = []
+
+    def field(t, y, lag):
+        reads.append((t - tau, lag.value))
+        return [lag.value[1], -lag.value[0]]
+
+    kwargs = dict(tol=1e-9,
+                  history_deriv=lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    history = lambda t: np.array([math.cos(t), -math.sin(t)])
+    traj = None
+    for lo, hi in ((0.0, 5.0), (5.0, 11.0), (11.0, 20.0)):
+        lo = traj.t_end if traj is not None else lo
+        traj, _ = integrate_dde(field, tau, history, (lo, hi), prior=traj, **kwargs)
+    assert len(reads) > 1000 and min(s for s, _ in reads) < 0.0
+    ends = traj.seg_ends
+    assert sum(ends[0] < s < ends[1] for s, _ in reads) > 100
+    assert sum(s > ends[1] for s, _ in reads) > 100
+    for s, value in reads:
+        assert all(type(v) is float for v in value)
+        assert value == tuple(traj(s).tolist()), s
 
 
 def test_find_root_identity():
