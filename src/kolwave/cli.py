@@ -229,6 +229,8 @@ def cmd_region(args, out: Path, manifest: RunManifest) -> int:
     # checked here: boundary_region turns a KolwaveError of one point into NaN
     if not args.tol > 0:
         raise PreconditionError(f"--tol must be positive, got {args.tol}")
+    if args.jobs < 1:
+        raise PreconditionError(f"--jobs must be at least 1, got {args.jobs}")
     gammas = _parse_range(args.gamma)
     if args.kind == "overshoot":
         curve = discretedelay.overshoot_region(gammas, tol=min(args.tol, 1e-2))

@@ -297,14 +297,6 @@ class WaveParams:
         if self.c < 0:
             raise PreconditionError("wave speed must be non-negative")
 
-    @property
-    def speed_flag(self) -> str:
-        if self.c >= 2.0 * math.sqrt(self.growth.gstar) - 1e-12:
-            return "existence-guaranteed"
-        if self.c < 2.0 * math.sqrt(self.growth.g0):
-            return "nonexistence"
-        return "undetermined"
-
 
 @dataclass(frozen=True, eq=False)
 class EffectiveKernel:

@@ -10,7 +10,8 @@ The stepping core works on tuples of Python floats: states of one or two
 components are far cheaper that way than as numpy arrays, and float
 arithmetic raises (ZeroDivisionError, OverflowError) where numpy would
 only warn.  The dense output of a finished run is built into numpy arrays
-once.
+once; a delay run keeps its float node lists too, for the run that
+continues it.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def _hermite_lag(t, t0, t1, y0, y1, f0, f1) -> Lag:
                + (-2 * th3 + 3 * th2) * y1 + (th3 - th2) * h * f1,
                (6 * th2 - 6 * th) * (y0 - y1) / h + (3 * th2 - 4 * th + 1) * f0
                + (3 * th2 - 2 * th) * f1)
-
-
-def _hermite_state(t, t0, t1, y0, y1, f0, f1) -> tuple:
-    """`_hermite` at t, one component of the state tuples at a time."""
-    return tuple([_hermite(t, t0, t1, a, b, c, d) for a, b, c, d in zip(y0, y1, f0, f1)])
 
 
 def _lag_state(t, t0, t1, y0, y1, f0, f1) -> Lag:
@@ -344,7 +340,7 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
         ts.append(t_new)
         ys.append(y_new)
         fs.append(f_new)
-        seg_eval = lambda tt: _hermite_state(tt, t, t_new, y, y_new, f, f_new)
+        seg_eval = lambda tt: _lag_state(tt, t, t_new, y, y_new, f, f_new).value
         for i, g in enumerate(gauges):
             g0, g1, z = g_last[i], g(t_new, y_new), zero_run[i]
             if g1 == 0.0:
@@ -406,51 +402,58 @@ def integrate_ode(
     return Trajectory(np.array(ts), np.array(ys), np.array(fs)), times
 
 
-class DdeTrajectory:
-    """Dense output of a delay integration: the history to the left of the
-    first start time, then one Trajectory per run (a continued run adds one
-    segment)."""
+def _node_lag(ts, ys, fs, s: float) -> Lag:
+    """y(s) and y'(s) on node lists with ts[0] < s: the cell that ends at s,
+    so a run boundary, whose time the lists hold twice, reads the run that
+    ends there; past the last node, that node."""
+    i = bisect.bisect_left(ts, s)
+    if i == len(ts):
+        return Lag(ys[-1], fs[-1])
+    return _lag_state(s, ts[i - 1], ts[i], ys[i - 1], ys[i], fs[i - 1], fs[i])
 
-    def __init__(self, t_start, history, history_deriv, segments):
+
+class DdeTrajectory(Trajectory):
+    """Dense output of a delay integration and of the runs that continued
+    it: the history at or before t_start, then the accepted nodes of every
+    run.  A continued run's first node repeats its prior's last one with
+    its own field value.  `nodes` holds the float lists (ts, ys, fs) a
+    continued run copies and extends; `starts` the index of each run's
+    first node."""
+
+    def __init__(self, t_start, history, history_deriv, nodes, starts):
+        super().__init__(*map(np.array, nodes))
         self.t_start = t_start
         self.history = history
         self.history_deriv = history_deriv
-        self.segments: list[Trajectory] = segments
-        self.seg_ends = [seg.t_end for seg in segments]
+        self.nodes = nodes
+        self.starts = starts
 
     @property
-    def t_end(self) -> float:
-        return self.segments[-1].t_end
-
-    def _locate(self, t: float) -> Trajectory:
-        """The first segment ending at or after t, else the last."""
-        return self.segments[min(bisect.bisect_left(self.seg_ends, t), len(self.segments) - 1)]
+    def segments(self) -> list[Trajectory]:
+        """One Trajectory view per run."""
+        ends = self.starts[1:] + [len(self.ts)]
+        return [Trajectory(self.ts[a:b], self.ys[a:b], self.fs[a:b])
+                for a, b in zip(self.starts, ends)]
 
     def __call__(self, t: float) -> np.ndarray:
         if t <= self.t_start:
             return np.atleast_1d(np.asarray(self.history(t), dtype=float))
-        return self._locate(t)(t)
+        return super().__call__(t)
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
-        """`__call__` at every point of ts: one `Trajectory.sample` per
-        segment, picked by `_locate`'s rule, and the history at or before
-        t_start."""
+        """`__call__` at every point of ts: one `Trajectory.sample`, and the
+        history at or before t_start."""
         t = np.asarray(ts, dtype=float)
-        k = np.minimum(np.searchsorted(self.seg_ends, t, side="left"), len(self.segments) - 1)
-        k[t <= self.t_start] = -1
-        out = np.empty((len(t), self.segments[0].ys.shape[1]))
-        for j, seg in enumerate(self.segments):
-            sel = k == j
-            if sel.any():
-                out[sel] = seg.sample(t[sel])
-        for n in np.flatnonzero(k < 0):
+        out = super().sample(t)
+        for n in np.flatnonzero(t <= self.t_start):
             out[n] = self(t[n])
         return out
 
     def derivative(self, t: float) -> np.ndarray:
+        """y'(t) by the rule of the run's lag reads."""
         if t <= self.t_start:
             return np.atleast_1d(np.asarray(self.history_deriv(t), dtype=float))
-        return self._locate(t).derivative(t)
+        return np.array(_node_lag(*self.nodes, t).slope)
 
 
 def integrate_dde(
@@ -470,13 +473,11 @@ def integrate_dde(
 
     `field` receives the state y(t) and `lag = Lag(value, slope)` holding
     y(t - tau) and its derivative, each a tuple of floats; the lag is read
-    from the nodes of this run (or from `history` and `history_deriv`, or
-    `prior`, for t - tau at or below the start), and the field returns any
-    sequence of floats, as for `integrate_ode`.  Pass `prior` to continue
-    a previous delay integration from its end: `history` and
-    `history_deriv` are then ignored and the result is one flat dense
-    output holding prior's history and segments plus the new one, so
-    lookups never recurse through earlier runs.
+    from `history` and `history_deriv` at or below the first run's start,
+    else from the accepted nodes, and the field returns any sequence of floats, as for
+    `integrate_ode`.  Pass `prior` to continue a previous delay integration
+    from its end: `history` and `history_deriv` are then prior's, and the
+    result is one dense output over prior's nodes and the new ones.
 
     Steps are aligned to the first few multiples of the lag, where the
     propagated kinks live.  Steps longer than the lag are allowed: the lag
@@ -491,32 +492,33 @@ def integrate_dde(
     if prior is not None:
         if t0 != prior.t_end:
             raise PreconditionError("a continued delay run must start where prior ends")
-        hist, hist_d = prior, prior.derivative
+        t_start, history, history_deriv = prior.t_start, prior.history, prior.history_deriv
+        ts, ys, fs = map(list, prior.nodes)
+        starts = prior.starts + [len(ts)]
+        base = ts[prior.starts[-1]]
+        y0 = ys[-1]
     else:
-        hist, hist_d = history, history_deriv
-
-    ts = [t0]
-    ys = [_floats(hist(t0))]
+        t_start = base = t0
+        ts, ys, fs, starts = [], [], [], [0]
+        y0 = _floats(history(t0))
+    ts.append(t0)
+    ys.append(y0)
 
     def lag_at(s: float) -> Lag:
         """y(s) and y'(s) from the history or the nodes accepted so far."""
-        if s <= t0:
-            return Lag(_floats(hist(s)), _floats(hist_d(s)))
-        if len(ts) == 1 or s >= ts[-1]:
-            return Lag(ys[-1], fs[-1])
-        i = bisect.bisect_right(ts, s) - 1  # ts[0] < s < ts[-1]: an interior node
-        return _lag_state(s, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+        if s <= t_start:
+            return Lag(_floats(history(s)), _floats(history_deriv(s)))
+        return _node_lag(ts, ys, fs, s)
 
     def committed_field(t: float, y: tuple):
         return field(t, y, lag_at(t - tau))
 
-    fs = [_eval_field(committed_field, t0, ys[0])]
+    fs.append(_eval_field(committed_field, t0, y0))
 
     # steps align to lag multiples counted from this run's start, or from the
     # previous run's start when continuing one (not from the first run's: the
     # step sequence, and so the result, depends on that base); after a few
     # multiples the solution is smooth enough for free stepping
-    base = prior.segments[-1].t0 if prior is not None else t0
     k0 = max(0, math.ceil((t0 - base) / tau - 1e-9))
     breakpoints = [base + k * tau for k in range(k0, k0 + 8) if base + k * tau > t0 + 1e-14]
 
@@ -545,11 +547,7 @@ def integrate_dde(
 
     times = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
                    events, stop, breakpoints)
-    traj = Trajectory(np.array(ts), np.array(ys), np.array(fs))
-    if prior is not None:
-        return DdeTrajectory(prior.t_start, prior.history, prior.history_deriv,
-                             prior.segments + [traj]), times
-    return DdeTrajectory(t0, history, history_deriv, [traj]), times
+    return DdeTrajectory(t_start, history, history_deriv, (ts, ys, fs), starts), times
 
 
 def find_root(f, bracket, tol: float = 1e-12) -> float:

@@ -73,9 +73,6 @@ class FlowField:
         g1p = -(1.0 + self.gamma) / (denom * denom)
         return (g1, phi * g1p), (1.0 / self.tau, -1.0 / self.tau)
 
-    def linearization_at_origin(self) -> np.ndarray:
-        return np.array(self.jacobian((0.0, 0.0)))
-
     def linearization_at_one(self) -> np.ndarray:
         return np.array(self.jacobian((1.0, 1.0)))
 

@@ -54,7 +54,6 @@ __all__ = [
     "iterate_front",
     "AsymptoticsReport",
     "asymptotic_check",
-    "critical_speed_probe",
 ]
 
 
@@ -583,15 +582,3 @@ def asymptotic_check(profile: Profile, params: WaveParams) -> AsymptoticsReport:
         rel_err_plus=rel_plus,
         flags=tuple(flags),
     )
-
-
-def critical_speed_probe(params: WaveParams) -> list[tuple[float, IterationResult]]:
-    """Approach the critical speed 2*sqrt(G(0)) through c + 1/j, j = 1, 2, 3,
-    and report the runs; the caller inspects the drift rather than claiming
-    the limit."""
-    c_star = 2.0 * math.sqrt(params.growth.g0)
-    out = []
-    for j in (1, 2, 3):
-        pj = WaveParams(params.growth, params.kernel, c_star + 1.0 / j)
-        out.append((pj.c, iterate_front(default_config(pj), pj)))
-    return out

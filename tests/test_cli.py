@@ -185,6 +185,14 @@ def test_region_tau_star_with_jobs(tmp_path):
     assert all(s < u for s, u in zip(star, upper))
 
 
+@pytest.mark.parametrize("kind", ["tau-star", "overshoot"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_region_rejects_fewer_than_one_job(tmp_path, kind, jobs):
+    code = run(tmp_path, "region", kind, "--gamma", "9:9:1", "--jobs", jobs)
+    assert code == 2
+    assert not (tmp_path / f"region-{kind}.csv").exists()
+
+
 def test_jobs_flag_belongs_to_region_only(tmp_path):
     code = run(tmp_path, "roots", "--gamma", "9", "--tau", "3", "--jobs", "2")
     assert code == 2

@@ -333,15 +333,6 @@ def test_atom_convolution_weights_split_linearly():
     assert (m0 + np.argmax(wts >= 0)) * 0.1 <= 0.35 <= (m0 + len(wts) - 1) * 0.1
 
 
-def test_wave_params_speed_flags():
-    food = GrowthModel.food_limited(9.0)
-    assert WaveParams(food, Kernel.discrete(1.0), 2.0).speed_flag == "existence-guaranteed"
-    assert WaveParams(food, Kernel.discrete(1.0), 1.9).speed_flag == "nonexistence"
-    allee = GrowthModel.quadratic(1.0, 0.8)
-    mid = 0.5 * (2 * math.sqrt(allee.g0) + 2 * math.sqrt(allee.gstar))
-    assert WaveParams(allee, Kernel.dirac(), mid).speed_flag == "undetermined"
-
-
 def test_params_json_roundtrip():
     p = WaveParams(GrowthModel.food_limited(9.0), Kernel.weak(3.0), 2.5)
     doc = params_to_json(p)

@@ -407,7 +407,7 @@ def test_dde_sample_equals_scalar_reads_bitwise():
     assert len(traj.segments) == 3
     nodes = np.concatenate([seg.ts for seg in traj.segments])
     ts = _probe_points(nodes, traj.t_start, traj.t_end, np.random.default_rng(11))
-    ts = np.concatenate([ts, traj.seg_ends, [-3.0, -1e-12]])
+    ts = np.concatenate([ts, [seg.t_end for seg in traj.segments], [-3.0, -1e-12]])
     scalar = np.array([traj(t) for t in ts])
     assert np.array_equal(traj.sample(ts), scalar)
 
@@ -425,12 +425,13 @@ def test_dde_sample_equals_scalar_reads_bitwise():
 def test_every_committed_lag_read_equals_the_returned_dense_output_bitwise():
     # lag 2*pi is longer than every step, so no read falls in the step being
     # built; run one reads only the history, runs two and three read their
-    # start-up lags from the prior runs, and run three also its own nodes
+    # start-up lags from the prior runs, and run three also its own nodes;
+    # value and slope both follow one rule, also on a run boundary
     tau = 2 * math.pi
     reads = []
 
     def field(t, y, lag):
-        reads.append((t - tau, lag.value))
+        reads.append((t - tau, lag))
         return [lag.value[1], -lag.value[0]]
 
     kwargs = dict(tol=1e-9,
@@ -441,12 +442,14 @@ def test_every_committed_lag_read_equals_the_returned_dense_output_bitwise():
         lo = traj.t_end if traj is not None else lo
         traj, _ = integrate_dde(field, tau, history, (lo, hi), prior=traj, **kwargs)
     assert len(reads) > 1000 and min(s for s, _ in reads) < 0.0
-    ends = traj.seg_ends
+    ends = [seg.t_end for seg in traj.segments]
     assert sum(ends[0] < s < ends[1] for s, _ in reads) > 100
     assert sum(s > ends[1] for s, _ in reads) > 100
-    for s, value in reads:
-        assert all(type(v) is float for v in value)
-        assert value == tuple(traj(s).tolist()), s
+    assert any(s in ends[:2] for s, _ in reads)
+    for s, lag in reads:
+        assert all(type(v) is float for v in lag.value + lag.slope)
+        assert lag.value == tuple(traj(s).tolist()), s
+        assert lag.slope == tuple(traj.derivative(s).tolist()), s
 
 
 def test_find_root_identity():

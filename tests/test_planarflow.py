@@ -38,10 +38,6 @@ def test_field_vanishes_at_equilibria():
 def test_linearization_char_polys():
     gamma, tau = 40.0, 10.0
     f = flow_field(gamma, tau)
-    j0 = f.linearization_at_origin()
-    # z^2 - (1 - 1/tau) z - 1/tau
-    assert np.trace(j0) == pytest.approx(1.0 - 1.0 / tau)
-    assert np.linalg.det(j0) == pytest.approx(-1.0 / tau)
     j1 = f.linearization_at_one()
     # z^2 + z/tau + 1/(tau(1+gamma))
     assert np.trace(j1) == pytest.approx(-1.0 / tau)

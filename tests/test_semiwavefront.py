@@ -26,7 +26,6 @@ from kolwave.semiwavefront import (
     _sweep_tables,
     apriori_bound,
     asymptotic_check,
-    critical_speed_probe,
     default_config,
     iterate_front,
     kpp_upper_solution,
@@ -532,14 +531,6 @@ def test_quadratic_growth_without_hump_iterates():
     assert res.profile.decay_minus == pytest.approx(0.5, rel=0.05)
     rep = asymptotic_check(res.profile, params)
     assert rep.rel_err_plus is not None and rep.rel_err_plus < 0.10
-
-
-def test_critical_speed_probe_reports_three_members():
-    out = critical_speed_probe(kpp_params())
-    assert [round(c, 4) for c, _ in out] == [3.0, 2.5, round(2 + 1 / 3, 4)]
-    assert all(res.converged for _, res in out)
-    sups = [res.profile.sup for _, res in out]
-    assert max(sups) <= 1.0 + 1e-6
 
 
 def test_picard_loop_refuses_a_non_finite_sweep(monkeypatch):
