@@ -144,9 +144,12 @@ def _build_params(args) -> WaveParams:
 
 
 def cmd_roots(args, out: Path, manifest: RunManifest) -> int:
-    if args.c == 0:
-        raise PreconditionError("roots needs a nonzero speed --c")
-    eps = args.c ** -2
+    try:
+        eps = args.c ** -2 if args.c > 0 else math.inf
+    except OverflowError:
+        eps = math.inf
+    if eps == math.inf:
+        raise PreconditionError(f"roots needs a speed --c > 0 with a finite c^-2, got {args.c}")
     if args.kernel == "discrete":
         rep = spectral.delay_char_roots(args.gamma, args.tau, eps)
     elif args.kernel == "weak":
@@ -387,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("tau-sharp", "tau-star", "overshoot"))
     p.add_argument("--gamma", required=True, help="START:STOP:STEP")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
-    common(p, 0.05)
+    p.add_argument("--tol", type=finite_float, default=0.05, help="bisection width of the "
+                   "tau-sharp and overshoot edges; tau-star is a minimum and ignores it")
+    common(p)
     p.set_defaults(fn=cmd_region)
 
     p = sub.add_parser("iterate", help="front construction by operator iteration")

@@ -418,10 +418,15 @@ class DdeTrajectory(Trajectory):
     run.  A continued run's first node repeats its prior's last one with
     its own field value.  `nodes` holds the float lists (ts, ys, fs) a
     continued run copies and extends; `starts` the index of each run's
-    first node."""
+    first node.  A continued run passes its `prior`, whose node arrays it
+    extends by its own nodes, so a shot converts each node once."""
 
-    def __init__(self, t_start, history, history_deriv, nodes, starts):
-        super().__init__(*map(np.array, nodes))
+    def __init__(self, t_start, history, history_deriv, nodes, starts, prior=None):
+        kept = 0 if prior is None else len(prior.ts)
+        arrays = [np.array(v[kept:]) for v in nodes]
+        if prior is not None:
+            arrays = [np.concatenate(pair) for pair in zip((prior.ts, prior.ys, prior.fs), arrays)]
+        super().__init__(*arrays)
         self.t_start = t_start
         self.history = history
         self.history_deriv = history_deriv
@@ -547,7 +552,7 @@ def integrate_dde(
 
     times = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
                    events, stop, breakpoints)
-    return DdeTrajectory(t_start, history, history_deriv, (ts, ys, fs), starts), times
+    return DdeTrajectory(t_start, history, history_deriv, (ts, ys, fs), starts, prior), times
 
 
 def find_root(f, bracket, tol: float = 1e-12) -> float:

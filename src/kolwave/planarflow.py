@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     StiffShootingError,
 )
-from .numerics import cubic_real_roots, integrate_ode, lower_edge
+from .numerics import cubic_real_roots, integrate_ode, lower_edge, maximize_scalar
 from .profiles import EPS_MAX, OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _N_SAMPLES = 4000  # uniform samples of a connection's profile
-_N_GRID = 256  # interior coefficients a tried per delay by the certificate search
 
 
 @dataclass(frozen=True)
@@ -295,10 +294,6 @@ class TestFunction:
 
     a: float
 
-    @property
-    def b(self) -> float:
-        return 1.0 - self.a
-
 
 @dataclass(frozen=True)
 class TestFunctionReport:
@@ -310,55 +305,48 @@ class TestFunctionReport:
 def admissible_interval(gamma: float, tau: float) -> tuple[float, float]:
     """Open interval of coefficients `a` allowed by the slope conditions at
     the two endpoints of the comparison arc."""
-    if not tau <= (1.0 + gamma) / 4.0:
-        raise PreconditionError("need tau <= (1+gamma)/4")
-    left = 1.0 / (tau + 1.0)
-    rad = (1.0 + gamma) ** 2 / (16.0 * tau * tau) - (1.0 + gamma) / (4.0 * tau)
-    right = 1.5 - (1.0 + gamma) / (4.0 * tau) - math.sqrt(max(rad, 0.0))
-    return left, right
+    if not 0 < tau <= (1.0 + gamma) / 4.0:
+        raise PreconditionError("need 0 < tau <= (1+gamma)/4")
+    k = (1.0 + gamma) / (4.0 * tau)
+    return 1.0 / (tau + 1.0), 1.5 - k - math.sqrt(max(k * k - k, 0.0))
 
 
-def _quartic_coeffs(gamma: float, tau: float, a: float) -> tuple[float, ...]:
+def _arc_quartics(gamma: float, a: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A and N, constant term first: the arc's barrier quartic is tau*A - N."""
     b = 1.0 - a
-    c0 = tau * a - b
-    c1 = tau * a * b - b * (gamma * a + 1.0)
-    c2 = tau * (a * b + 3.0 * b) - b * gamma * a
-    c3 = b * b * (3.0 * tau - gamma)
-    c4 = c3
-    return c0, c1, c2, c3, c4
+    return ((a, a * b, b * (a + 3.0), 3.0 * b * b, 3.0 * b * b),
+            (b, b * (gamma * a + 1.0), b * gamma * a, b * gamma * b, b * gamma * b))
+
+
+def _horner(c, x: float) -> float:
+    return c[0] + x * (c[1] + x * (c[2] + x * (c[3] + x * c[4])))
+
+
+def _checkpoints(c) -> list[float]:
+    """0, 1 and the critical points in (0, 1) of the quartic c, ascending."""
+    roots = cubic_real_roots(4 * c[4], 3 * c[3], 2 * c[2], c[1])
+    return sorted([x for x in roots if 0 < x < 1] + [0.0, 1.0])
 
 
 def test_function_check(gamma: float, tau: float, tf: TestFunction) -> TestFunctionReport:
     """Certify the cubic comparison arc: endpoint slope bounds checked
-    directly, the interior barrier inequality reduced to positivity of a
-    quartic on (0, 1) and certified through the closed-form critical points
-    of its cubic derivative plus the endpoint values."""
+    directly, and the barrier inequality as positivity of the quartic
+    tau*A - N at its closed-form checkpoints."""
     if not gamma > 1:
         raise PreconditionError("hypotheses need gamma > 1")
-    if not tau <= (1.0 + gamma) / 4.0:
-        raise PreconditionError("hypotheses need tau <= (1+gamma)/4")
-
-    left, right = admissible_interval(gamma, tau)
+    left, right = admissible_interval(gamma, tau)  # which needs 0 < tau <= (1+gamma)/4
     failed: list[str] = []
-    fail_x: float | None = None
     if not tf.a > left:
         failed.append("interval-left")
     if not tf.a < right:
         failed.append("interval-right")
 
-    c0, c1, c2, c3, c4 = _quartic_coeffs(gamma, tau, tf.a)
-    scale = max(abs(v) for v in (c0, c1, c2, c3, c4)) or 1.0
-
-    def p4(x: float) -> float:
-        return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-
-    checkpoints = [x for x in cubic_real_roots(4 * c4, 3 * c3, 2 * c2, c1) if 0 < x < 1]
-    checkpoints += [0.0, 1.0]
-    for x in sorted(checkpoints):
-        if p4(x) < -1e-12 * scale or (0 < x < 1 and p4(x) <= 0):
-            failed.append("quartic")
-            fail_x = x
-            break
+    c = [tau * u - v for u, v in zip(*_arc_quartics(gamma, tf.a))]
+    scale = max(map(abs, c)) or 1.0
+    fail_x = next((x for x in _checkpoints(c) if _horner(c, x) < -1e-12 * scale
+                   or (0 < x < 1 and _horner(c, x) <= 0)), None)
+    if fail_x is not None:
+        failed.append("quartic")
 
     return TestFunctionReport(holds=not failed, failed=tuple(failed), fail_x=fail_x)
 
@@ -373,24 +361,34 @@ def test_function_threshold() -> tuple[float, float]:
     return m, (13.0 + 3.0 * m) / (m - 1.0)
 
 
-def _has_admissible_a(gamma: float, tau: float) -> bool:
-    left, right = admissible_interval(gamma, tau)
-    if not right > left:
-        return False
-    grid = np.linspace(left, right, _N_GRID + 2)[1:-1]
-    return any(test_function_check(gamma, tau, TestFunction(a=float(a))).holds
-               for a in grid)
+def _certified_above(gamma: float, a: float) -> float:
+    """T(a) = max of N/A on [0, 1] (A, N > 0 there): for a < 1/2 the quartic's
+    end values are the slope bounds, so the arc certifies exactly the delays
+    T(a) < tau <= (1+gamma)/4.  Each pass raises tau to the largest N/A at the
+    checkpoints of tau*A - N; that quartic has a double zero at the maximiser,
+    so passes converge quadratically, and none rises once tau*A >= N."""
+    den, num = _arc_quartics(gamma, a)
+    tau, best = -1.0, 0.0
+    while best > tau:  # tau rises strictly, so in finitely many passes
+        tau = best
+        best = max(_horner(num, x) / _horner(den, x)
+                   for x in _checkpoints([tau * u - v for u, v in zip(den, num)]))
+    return tau
 
 
-def tau_star(gamma: float, tol: float = 0.05) -> float:
-    """Lower edge of the delay window where the cubic-arc certificate applies,
-    found by bisection (the admissible set is an upward interval in tau)."""
+def tau_star(gamma: float) -> float:
+    """Lower edge of the delay window of the cubic-arc certificate: the minimum
+    of T(a) over 4/(5+gamma) < a < 1/2 (at both ends T(a) >= (1+gamma)/4, the
+    window's top), searched in log a, as the minimiser nears 4.5/gamma."""
     if not gamma > 1:
         raise PreconditionError("need gamma > 1")
-    hi = (1.0 + gamma) / 4.0
-    if not _has_admissible_a(gamma, hi - 1e-9):
+    gamma, lo_a, star = float(gamma), 4.0 / (5.0 + gamma), math.inf
+    if lo_a < 0.5:
+        star = -maximize_scalar(lambda s: -_certified_above(gamma, math.exp(s)),
+                                (math.log(lo_a), math.log(0.5)), 1e-12)[1]
+    if not star < (1.0 + gamma) / 4.0:
         raise NoWindowError(f"no admissible coefficient at any tau for gamma={gamma}")
-    return lower_edge(lambda tau: _has_admissible_a(gamma, tau), hi, tol)
+    return star
 
 
 def tau_sharp(gamma: float, tol: float = 0.05) -> float:
@@ -415,17 +413,18 @@ def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
     KolwaveError becomes a NaN gap, any other exception propagates.
 
     Columns: tau_sharp, tau_star (NaN when not requested or not defined) and
-    the node-to-focus edge tau_upper = (1+gamma)/4.
+    the node-to-focus edge tau_upper = (1+gamma)/4.  `tol` is tau_sharp's
+    bisection width; tau_star is a minimum, not a bisection.
     """
     gammas = np.asarray(list(gammas), dtype=float)
     # looked up per call, so a replaced module attribute is the one that runs
-    solvers = {"tau_sharp": tau_sharp, "tau_star": tau_star}
+    solvers = {"tau_sharp": lambda g: tau_sharp(g, tol), "tau_star": tau_star}
 
     def one(g: float) -> list[float]:
         row = []
         for kind, solver in solvers.items():
             try:
-                row.append(solver(g, tol) if kind in kinds else math.nan)
+                row.append(solver(g) if kind in kinds else math.nan)
             except KolwaveError:
                 row.append(math.nan)
         return row + [(1.0 + g) / 4.0]

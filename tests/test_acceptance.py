@@ -68,7 +68,7 @@ def test_criterion_01_certificate_constants():
 
 def test_criterion_02_boundary_values_at_gamma_40():
     sharp = planarflow.tau_sharp(40.0, tol=0.05)
-    star = planarflow.tau_star(40.0, tol=0.05)
+    star = planarflow.tau_star(40.0)
     assert 8.6 <= sharp <= 8.9
     assert 9.3 <= star <= 9.6
     assert sharp < 10.25 and star < 10.25
@@ -223,7 +223,7 @@ def _emit_items_1_to_6(out_dir: Path) -> list[Path]:
 
     p = out_dir / "item2.csv"
     write_csv(p, ("tau_sharp_40", "tau_star_40"),
-              [(planarflow.tau_sharp(40.0, tol=0.05), planarflow.tau_star(40.0, tol=0.05))])
+              [(planarflow.tau_sharp(40.0, tol=0.05), planarflow.tau_star(40.0))])
     paths.append(p)
 
     rep = planarflow.test_function_check(40.0, 10.0, planarflow.TestFunction(0.12))

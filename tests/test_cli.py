@@ -185,6 +185,14 @@ def test_region_tau_star_with_jobs(tmp_path):
     assert all(s < u for s, u in zip(star, upper))
 
 
+def test_region_tau_star_ignores_the_bisection_tol(tmp_path):
+    csvs = []
+    for tol in ("0.05", "0.5"):
+        assert run(tmp_path / tol, "region", "tau-star", "--gamma", "8:40:8", "--tol", tol) == 0
+        csvs.append((tmp_path / tol / "region-tau-star.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("kind", ["tau-star", "overshoot"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_region_rejects_fewer_than_one_job(tmp_path, kind, jobs):
@@ -242,6 +250,11 @@ def test_non_finite_input_exits_2(tmp_path, argv):
     ("finite-profile", "--gamma", "9", "--tau", "3", "--eps", "0.01", "--span", "-5"),
     ("roots", "--gamma", "9", "--tau", "3", "--c", "0", "--kernel", "discrete"),
     ("roots", "--gamma", "9", "--tau", "3", "--c", "0", "--kernel", "weak"),
+    ("roots", "--gamma", "9", "--tau", "3", "--c", "-3", "--kernel", "discrete"),
+    ("roots", "--gamma", "2", "--tau", "0.5", "--c", "1e-200", "--kernel", "discrete"),
+    ("roots", "--gamma", "2", "--tau", "0.5", "--c", "1e-200", "--kernel", "weak"),
+    ("test-function", "--gamma", "2", "--tau", "0", "--a", "0.1"),
+    ("test-function", "--gamma", "2", "--tau", "-1", "--a", "0.1"),
     ("overshoot", "--gamma", "9", "--tau", "710"),
 ], ids=" ".join)
 def test_input_outside_the_domain_exits_2(tmp_path, argv):

@@ -226,7 +226,7 @@ def test_threshold_constants():
 
 
 def test_tau_star_reference_value():
-    val = tau_star(40.0, tol=0.05)
+    val = tau_star(40.0)
     assert 9.3 <= val <= 9.6
     assert val < 10.25
 
@@ -237,14 +237,78 @@ def test_tau_star_no_window_below_threshold():
 
 
 def test_tau_star_large_gamma_below_upper_edge():
-    val = tau_star(100.0, tol=0.1)
+    val = tau_star(100.0)
     assert val < 101.0 / 4.0
+
+
+def _dense_edge(gamma: float) -> tuple[float, float]:
+    """min over a of max over x in [0, 1] of N/A, the certificate edge, on
+    grids: x uniform and x scaled by a (for small a, N/A peaks near x = 3a/4),
+    a zoomed in log a.  Returns the edge and its coefficient a."""
+    xs = np.linspace(0.0, 1.0, 20001)
+    near = np.linspace(0.0, 3.0, 3001)
+
+    def edges(a):
+        a = a[:, None]
+        b = 1.0 - a
+        x = np.hstack([np.broadcast_to(xs, (a.size, xs.size)), np.minimum(a * near, 1.0)])
+        den = a + x * (a * b + x * (b * (a + 3.0) + x * (3.0 * b * b + x * 3.0 * b * b)))
+        num = b * (1.0 + x * (gamma * a + 1.0 + x * (gamma * a + x * gamma * b * (1.0 + x))))
+        return (num / den).max(axis=1)
+
+    lo, hi = math.log(0.5 / gamma), math.log(0.5)
+    for _ in range(10):
+        s = np.linspace(lo, hi, 51)
+        t = edges(np.exp(s))
+        k = int(np.argmin(t))
+        lo, hi = s[max(k - 2, 0)], s[min(k + 2, 50)]
+    return float(t[k]), float(np.exp(s[k]))
+
+
+@pytest.mark.parametrize("gamma", [8.0, 12.0, 40.0, 100.0, 1e3, 1e6])
+def test_tau_star_is_the_edge_of_the_certified_window(gamma):
+    star = tau_star(gamma)
+    want, a_best = _dense_edge(gamma)
+    assert star == pytest.approx(want, rel=1e-6)
+    assert pf.test_function_check(gamma, star * (1 + 1e-6), pf.TestFunction(a_best)).holds
+    grid = np.geomspace(1.0 / (1.0 + gamma), 0.999, 4001)
+    assert not any(pf.test_function_check(gamma, star * (1 - 1e-6), pf.TestFunction(float(a))).holds
+                   for a in grid)
+
+
+def test_certificate_holds_exactly_above_its_arc_edge():
+    """For a < 1/2 the quartic's endpoint values are the slope bounds, so the
+    arc certifies exactly the delays above T(a) = max of N/A on [0, 1]."""
+    rng = np.random.default_rng(21)
+    held = 0
+    for _ in range(2000):
+        gamma = math.exp(rng.uniform(math.log(1.5), math.log(1e3)))
+        a = rng.uniform(0.0, 1.0)
+        top = (1.0 + gamma) / 4.0
+        edge = pf._certified_above(gamma, a)
+        tau = min(top, edge * math.exp(rng.uniform(-0.05, 0.05))) if rng.uniform() < 0.5 \
+            else rng.uniform(0.0, top)
+        holds = pf.test_function_check(gamma, tau, pf.TestFunction(a)).holds
+        assert holds == (a < 0.5 and tau > edge), (gamma, tau, a)
+        held += holds
+    assert held > 100
+
+
+def test_tau_star_window_opens_at_the_threshold():
+    gamma_min = pf.test_function_threshold()[1]
+    with pytest.raises(NoWindowError):
+        tau_star(gamma_min - 1e-3)
+    for gamma in (gamma_min + 1e-3, 7.3):
+        assert tau_star(gamma) < (1.0 + gamma) / 4.0
+    # at gamma = 7.3 the window is [2.0749997, 2.075]
+    assert any(pf.test_function_check(7.3, 2.075, pf.TestFunction(float(a))).holds
+               for a in np.linspace(0.499, 0.5, 1001))
 
 
 def test_tau_sharp_reference_value_and_ordering():
     sharp = tau_sharp(40.0, tol=0.05)
     assert 8.6 <= sharp <= 8.9
-    assert sharp <= tau_star(40.0, tol=0.05)
+    assert sharp <= tau_star(40.0)
     assert sharp < 10.25
 
 
