@@ -3,9 +3,9 @@
 Subcommands cover single-point analysis (roots, overshoot, test-function),
 profile computation (heteroclinic, weak-profile, limit-profile,
 finite-profile, iterate, check-asymptotics) and parameter-plane sweeps
-(region).  Every run writes CSV/JSON outputs plus a single-polyline SVG and
-a manifest next to them.  Outputs are byte-reproducible: floats render with
-17 significant digits and the SVG carries no timestamp.
+(region).  Every run writes CSV/JSON outputs plus an SVG of M4-thinned
+polylines and a manifest next to them.  Outputs are byte-reproducible:
+floats render with 17 significant digits and the SVG carries no timestamp.
 
 Exit codes: 0 success, 2 precondition/usage error, 3 numerical error.
 """
@@ -53,9 +53,31 @@ def _svg_map(vals, lo, hi, size, margin):
     return margin + (np.asarray(vals) - lo) * (size - 2 * margin) / span
 
 
+def _m4(xs, ys) -> np.ndarray:
+    """Mask of the points M4 thinning keeps of a polyline: in each run of
+    consecutive points that share a pixel column (the floor of x), the
+    first and last point and the first points of least and greatest y; a
+    run of at most 4 points stays whole.  A NaN y counts as neither least
+    nor greatest."""
+    col = np.floor(xs)
+    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    lens = np.diff(np.append(starts, len(col)))
+    if lens.max() <= 4:
+        return np.ones(len(col), dtype=bool)
+    run = np.repeat(np.arange(len(starts)), lens)
+    keep = np.repeat(lens <= 4, lens)
+    keep[starts] = keep[starts + lens - 1] = True
+    for extreme in (np.fmin, np.fmax):
+        hit = np.flatnonzero(ys == extreme.reduceat(ys, starts)[run])
+        keep[hit[np.diff(run[hit], prepend=-1) != 0]] = True
+    return keep
+
+
 def write_svg(path: Path, curves, level: float | None = None) -> None:
     """Minimal deterministic SVG: one polyline per named curve plus an
-    optional horizontal rule at `level`."""
+    optional horizontal rule at `level`.  Each polyline is M4-thinned
+    (`_m4`), so it holds at most 4 points per pixel column of a curve
+    sampled in increasing x."""
     width, height = SVG_WIDTH, SVG_HEIGHT
     margin = 20.0
     all_t = np.concatenate([np.asarray(ts) for _, ts, _ in curves])
@@ -84,7 +106,8 @@ def write_svg(path: Path, curves, level: float | None = None) -> None:
         ok = np.isfinite(vs)
         xs = _svg_map(ts[ok], t_lo, t_hi, width, margin)
         ys = height - _svg_map(vs[ok], v_lo, v_hi, height, margin)
-        pts = format_rows("%.3f,%.3f", np.column_stack((xs, ys)), sep=" ")
+        keep = _m4(xs, ys)
+        pts = format_rows("%.3f,%.3f", np.column_stack((xs[keep], ys[keep])), sep=" ")
         color = palette[i % len(palette)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"><title>{name}</title></polyline>')
@@ -322,101 +345,141 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=finite_float, default=0.02)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="kolwave",
-        description="travelling-wavefront toolkit for the nonlocal logistic "
-                    "reaction-diffusion model",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _common(p, tol=None) -> None:
+    p.add_argument("--out", default="out")
+    if tol is not None:
+        p.add_argument("--tol", type=finite_float, default=tol)
 
-    def common(p, tol=None):
-        p.add_argument("--out", default="out")
-        if tol is not None:
-            p.add_argument("--tol", type=finite_float, default=tol)
 
-    p = sub.add_parser("roots", help="characteristic roots at the positive state")
+def _gamma_tau(p) -> None:
     p.add_argument("--gamma", type=finite_float, required=True)
     p.add_argument("--tau", type=finite_float, required=True)
+
+
+# Each adds one subcommand's arguments and its `fn`, read from the module when
+# the parser is built, so a cmd_* rebound after import is the one that runs.
+
+def _roots_args(p) -> None:
+    _gamma_tau(p)
     p.add_argument("--kernel", default="discrete", choices=("discrete", "weak"))
     p.add_argument("--c", type=finite_float, default=1e6)
-    common(p)
+    _common(p)
     p.set_defaults(fn=cmd_roots)
 
-    p = sub.add_parser("heteroclinic", help="planar kinetics connection")
-    p.add_argument("--gamma", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, required=True)
+
+def _heteroclinic_args(p) -> None:
+    _gamma_tau(p)
     p.add_argument("--amplitude", type=finite_float, default=1e-6)
-    common(p, 1e-7)
+    _common(p, 1e-7)
     p.set_defaults(fn=cmd_heteroclinic, eps=0.0)  # weak-profile at infinite speed
 
-    p = sub.add_parser("weak-profile", help="finite-speed weak-kernel wave profile")
-    p.add_argument("--gamma", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, required=True)
+
+def _weak_profile_args(p) -> None:
+    _gamma_tau(p)
     p.add_argument("--eps", type=finite_float, required=True)
     p.add_argument("--amplitude", type=finite_float, default=1e-6)
-    common(p, 1e-7)
+    _common(p, 1e-7)
     p.set_defaults(fn=cmd_heteroclinic)
 
-    p = sub.add_parser("limit-profile", help="infinite-speed delayed kinetics profile")
-    p.add_argument("--gamma", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, required=True)
+
+def _limit_profile_args(p) -> None:
+    _gamma_tau(p)
     p.add_argument("--span", type=finite_float, default=400.0)
-    common(p, 1e-10)
+    _common(p, 1e-10)
     p.set_defaults(fn=cmd_limit_profile, eps=0.0)  # finite-profile at infinite speed
 
-    p = sub.add_parser("finite-profile", help="finite-speed delayed wave profile")
-    p.add_argument("--gamma", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, required=True)
+
+def _finite_profile_args(p) -> None:
+    _gamma_tau(p)
     p.add_argument("--eps", type=finite_float, required=True)
     p.add_argument("--span", type=finite_float, default=400.0)
-    common(p, 1e-10)
+    _common(p, 1e-10)
     p.set_defaults(fn=cmd_limit_profile)
 
-    p = sub.add_parser("overshoot", help="closed-form overshoot lower bound")
-    p.add_argument("--gamma", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, required=True)
-    common(p)
+
+def _overshoot_args(p) -> None:
+    _gamma_tau(p)
+    _common(p)
     p.set_defaults(fn=cmd_overshoot)
 
-    p = sub.add_parser("test-function", help="cubic comparison-arc certificate")
-    p.add_argument("--gamma", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, required=True)
+
+def _test_function_args(p) -> None:
+    _gamma_tau(p)
     p.add_argument("--a", type=finite_float, required=True)
-    common(p)
+    _common(p)
     p.set_defaults(fn=cmd_test_function)
 
-    p = sub.add_parser("region", help="parameter-plane boundary sweep")
+
+def _region_args(p) -> None:
     p.add_argument("kind", choices=("tau-sharp", "tau-star", "overshoot"))
     p.add_argument("--gamma", required=True, help="START:STOP:STEP")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
     p.add_argument("--tol", type=finite_float, default=0.05, help="bisection width of the "
                    "tau-sharp and overshoot edges; tau-star is a minimum and ignores it")
-    common(p)
+    _common(p)
     p.set_defaults(fn=cmd_region)
 
-    p = sub.add_parser("iterate", help="front construction by operator iteration")
+
+def _iterate_args(p) -> None:
     _add_model_flags(p)
-    common(p, 1e-9)
+    _common(p, 1e-9)
     p.set_defaults(fn=cmd_iterate)
 
-    p = sub.add_parser("check-asymptotics", help="tail exponents vs characteristic rates")
+
+def _check_asymptotics_args(p) -> None:
     _add_model_flags(p)
-    common(p, 1e-9)
+    _common(p, 1e-9)
     p.set_defaults(fn=cmd_check_asymptotics)
 
+
+_COMMANDS = {
+    "roots": ("characteristic roots at the positive state", _roots_args),
+    "heteroclinic": ("planar kinetics connection", _heteroclinic_args),
+    "weak-profile": ("finite-speed weak-kernel wave profile", _weak_profile_args),
+    "limit-profile": ("infinite-speed delayed kinetics profile", _limit_profile_args),
+    "finite-profile": ("finite-speed delayed wave profile", _finite_profile_args),
+    "overshoot": ("closed-form overshoot lower bound", _overshoot_args),
+    "test-function": ("cubic comparison-arc certificate", _test_function_args),
+    "region": ("parameter-plane boundary sweep", _region_args),
+    "iterate": ("front construction by operator iteration", _iterate_args),
+    "check-asymptotics": ("tail exponents vs characteristic rates", _check_asymptotics_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The kolwave parser.  When `command` names a subcommand it holds that
+    one only, which parses that command's argv as the full parser does;
+    otherwise (help, an unknown or no command) it holds all of them."""
+    ap = argparse.ArgumentParser(
+        prog="kolwave",
+        description="travelling-wavefront toolkit for the nonlocal logistic "
+                    "reaction-diffusion model",
+    )
+    if command not in _COMMANDS:
+        names, metavar = list(_COMMANDS), None
+    else:  # the usage line still lists every command
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create --out: {exc}", file=sys.stderr)
+        return 2
     manifest = RunManifest(command=args.command,
                            params={k: v for k, v in sorted(vars(args).items())
                                    if k not in ("fn", "out")})

@@ -114,20 +114,24 @@ def fit_decay(ts, dist, lo: float, hi: float):
     """Least-squares slope of log(dist) over the final stretch where dist
     lies in [lo, hi] and decreases monotonically toward the end.
 
+    The stretch ends at i_end, the last sample with dist >= lo (the noise
+    floor past it is skipped), and starts at the last index i <= i_end
+    where dist[i - 1] >= dist[i] * (1 - 1e-3) fails (0 if it never
+    fails), so an upward jitter of up to 0.1 % per step stays inside; a
+    NaN fails that comparison.
+
     Returns (slope, ok).  ok is False when the window spans fewer than
     two decades (_FIT_DECADES) or has fewer than 8 samples.
     """
     ts = np.asarray(ts, dtype=float)
     dist = np.asarray(dist, dtype=float)
-    # skip the trailing noise-floor zone, then walk backward over the
-    # monotone stretch (small upward jitter allowed)
     live = np.nonzero(dist >= lo)[0]
     if len(live) == 0:
         return 0.0, False
     i_end = int(live[-1])
-    i = i_end
-    while i > 0 and dist[i - 1] >= dist[i] * (1.0 - 1e-3):
-        i -= 1
+    head = dist[:i_end + 1]
+    breaks = np.flatnonzero(~(head[:-1] >= head[1:] * (1.0 - 1e-3)))
+    i = int(breaks[-1]) + 1 if len(breaks) else 0
     sel = np.arange(i, i_end + 1)
     sel = sel[(dist[sel] >= lo) & (dist[sel] <= hi) & (dist[sel] > 0)]
     if len(sel) < 8:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from kolwave import cli
 from kolwave.cli import main
 
 
@@ -403,3 +404,54 @@ def test_iteration_config_that_cannot_run_exits_2(tmp_path, capsys, field, value
     assert _manifest(out, "iterate")["error"] == "PreconditionError"
     assert field in capsys.readouterr().err
     assert not (out / "front.json").exists()
+
+
+@pytest.mark.parametrize("out", ["existing-file", "existing-file/sub"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, out):
+    (tmp_path / "existing-file").write_text("")
+    assert main(["overshoot", "--gamma", "2", "--tau", "0.5", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create --out") and "Traceback" not in err
+    assert (tmp_path / "existing-file").read_text() == ""
+
+
+SAMPLE_ARGV = {
+    "roots": ["--gamma", "9", "--tau", "3", "--kernel", "weak", "--c", "4"],
+    "heteroclinic": ["--gamma", "40", "--tau", "10", "--amplitude", "1e-5"],
+    "weak-profile": ["--gamma", "40", "--tau", "10", "--eps", "0.02", "--tol", "1e-8"],
+    "limit-profile": ["--gamma", "9", "--tau", "3", "--span", "100"],
+    "finite-profile": ["--gamma", "9", "--tau", "3", "--eps", "0.02"],
+    "overshoot": ["--gamma", "9", "--tau", "3", "--out", "x"],
+    "test-function": ["--gamma", "40", "--tau", "10", "--a", "0.12"],
+    "region": ["tau-star", "--gamma", "8:9:0.5", "--jobs", "2"],
+    "iterate": ["--model", "kpp", "--kernel", "table:k.json", "--c", "2.7", "--dt", "0.01"],
+    "check-asymptotics": ["--json", "m.json", "--config", "c.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(SAMPLE_ARGV))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    argv = [command, *SAMPLE_ARGV[command]]
+    full = cli.build_parser()
+    assert cli.build_parser(command).parse_args(argv) == full.parse_args(argv)
+    assert cli.build_parser(command).format_usage() == full.format_usage()
+
+
+def test_help_lists_every_command_and_an_unknown_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out
+    assert list(SAMPLE_ARGV) == list(cli._COMMANDS)
+    assert all(f"    {name}" in listed for name in SAMPLE_ARGV)
+    assert main(["--help"]) == 0
+    assert main(["bogus", "--gamma", "1"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_a_rebound_command_function_is_the_one_that_runs(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_roots", lambda args, out, manifest: ran.append(args.gamma) or 0)
+    assert run(tmp_path, "roots", "--gamma", "9", "--tau", "3") == 0
+    assert ran == [9.0]
+    assert not (tmp_path / "roots.json").exists()

@@ -1,5 +1,6 @@
 """The block-formatted CSV and SVG writers print the same bytes as a
-per-value join through format()."""
+per-value join through format(), and the SVG polylines keep what M4
+thinning keeps: each pixel column's first, last, lowest and highest point."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from kolwave.cli import _svg_map, write_svg
+from kolwave.cli import _m4, _svg_map, main, write_svg
 from kolwave.numerics import Grid
 from kolwave.profiles import Profile, RegionCurve, fmt_float, write_csv
 
@@ -26,7 +27,29 @@ def _csv_oracle(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_oracle(curves, level=None, width=800, height=400) -> str:
+def _m4_oracle(xs, ys) -> list[int]:
+    """Indices M4 keeps, column by column: each run of consecutive points in
+    one pixel column keeps its first and last point and its first lowest
+    and first highest y (NaN is neither); a run of at most 4 stays whole."""
+    kept = []
+    i = 0
+    while i < len(xs):
+        j = i + 1
+        while j < len(xs) and np.floor(xs[j]) == np.floor(xs[i]):
+            j += 1
+        run = list(range(i, j))
+        if len(run) > 4:
+            real = [k for k in run if not math.isnan(ys[k])]
+            picks = {i, j - 1}
+            if real:
+                picks |= {min(real, key=lambda k: ys[k]), max(real, key=lambda k: ys[k])}
+            run = sorted(picks)
+        kept += run
+        i = j
+    return kept
+
+
+def _svg_oracle(curves, level=None, width=800, height=400, thin=True) -> str:
     margin = 20.0
     all_t = np.concatenate([np.asarray(ts) for _, ts, _ in curves])
     all_v = np.concatenate([np.asarray(vs) for _, _, vs in curves])
@@ -53,7 +76,8 @@ def _svg_oracle(curves, level=None, width=800, height=400) -> str:
         ok = np.isfinite(vs)
         xs = _svg_map(ts[ok], t_lo, t_hi, width, margin)
         ys = height - _svg_map(vs[ok], v_lo, v_hi, height, margin)
-        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(xs, ys))
+        kept = _m4_oracle(xs, ys) if thin else range(len(xs))
+        pts = " ".join(f"{xs[k]:.3f},{ys[k]:.3f}" for k in kept)
         color = palette[i % len(palette)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"><title>{name}</title></polyline>')
@@ -103,3 +127,89 @@ def test_write_svg_matches_per_point_join(tmp_path, level):
         expected = _svg_oracle(curves, level=level)
     assert ",-inf" in expected
     assert (tmp_path / "c.svg").read_text() == expected
+
+
+def _polyline_points(svg: str) -> list[list[str]]:
+    return [chunk.split('"', 1)[0].split() for chunk in svg.split('points="')[1:]]
+
+
+@pytest.mark.parametrize("level", [None, 1.0])
+def test_write_svg_thins_dense_curves_like_a_per_column_loop(tmp_path, level):
+    rng = np.random.default_rng(8)
+    n = 20_000
+    ts = np.linspace(0.0, 50.0, n)
+    vs = np.cumsum(rng.normal(size=n))
+    vs[:len(AWKWARD)] = AWKWARD
+    vs[5000:5400] = vs[5000]  # a plateau: ties for both extremes
+    vs[9000:9100] = math.nan  # a gap
+    vs[12000:12010] = 1e-300  # ten equal values in one column
+    curves = [("phi", ts, vs), ("psi", ts[::3], np.sin(ts[::3])), ("few", ts[::997], vs[::997])]
+    with np.errstate(over="ignore"):
+        write_svg(tmp_path / "c.svg", curves, level=level)
+        expected = _svg_oracle(curves, level=level)
+    svg = (tmp_path / "c.svg").read_text()
+    assert svg == expected
+    # 761 pixel columns, from x = 20 to 780
+    phi, psi, few = map(len, _polyline_points(svg))
+    assert len(ts[::3]) > 4 * 761 >= max(phi, psi)  # 761 pixel columns, x = 20 to 780
+    assert few == np.count_nonzero(np.isfinite(vs[::997]))  # one point per column: all kept
+
+
+def _columns(xs):
+    col = np.floor(xs)
+    cuts = np.flatnonzero(col[1:] != col[:-1]) + 1
+    return np.split(np.arange(len(xs)), cuts)
+
+
+def _assert_m4_property(xs, ys):
+    keep = _m4(xs, ys)
+    for run in _columns(xs):
+        kept = run[keep[run]]
+        assert len(kept) <= 4
+        if len(run) <= 4:
+            assert list(kept) == list(run)
+            continue
+        real = run[~np.isnan(ys[run])]
+        wanted = {run[0], run[-1]}
+        if len(real):
+            wanted |= {real[np.argmin(ys[real])], real[np.argmax(ys[real])]}
+        assert wanted == set(kept)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_m4_keeps_each_columns_first_last_lowest_and_highest_point(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4000))
+    # sparse columns across the plot, dense ones at its left end
+    xs = np.sort(np.concatenate([rng.uniform(20.0, 780.0, n), rng.uniform(20.0, 100.0, n)]))
+    n = len(xs)
+    ys = [rng.normal(size=n), np.round(rng.normal(size=n), 1), xs.copy()][seed % 3]  # ties, monotone
+    ys[rng.integers(0, n, size=n // 50)] = math.nan
+    _assert_m4_property(xs, ys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["heteroclinic", "--gamma", "40", "--tau", "10"],
+    ["limit-profile", "--gamma", "9", "--tau", "0.05"],
+    ["iterate", "--model", "kpp", "--c", "2.5"],
+], ids=lambda argv: argv[0])
+def test_m4_property_on_real_profiles(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    stem = "front" if argv[0] == "iterate" else "phi"
+    ts, vs = np.loadtxt(tmp_path / f"{stem}.csv", delimiter=",", skiprows=1).T
+    all_v = np.append(vs, 1.0)  # write_svg maps the level rule with the curve
+    xs = _svg_map(ts, ts.min(), ts.max(), 800, 20.0)
+    ys = 400 - _svg_map(vs, all_v.min(), all_v.max(), 400, 20.0)
+    _assert_m4_property(xs, ys)
+    svg = (tmp_path / f"{stem}.svg").read_text()
+    assert svg == _svg_oracle([("phi", ts, vs)], level=1.0)
+    assert len(_polyline_points(svg)[0]) <= 4 * 761
+
+
+def test_region_svg_keeps_every_point(tmp_path):
+    assert main(["region", "overshoot", "--gamma", "2:20:0.25", "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "region-overshoot.csv").read_text().splitlines()
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    curves = [(name, table[:, 0], table[:, k + 1])
+              for k, name in enumerate(header.split(",")[1:])]
+    assert (tmp_path / "region-overshoot.svg").read_text() == _svg_oracle(curves, thin=False)
