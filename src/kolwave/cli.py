@@ -274,10 +274,10 @@ def cmd_region(args, out: Path, manifest: RunManifest) -> int:
     return 0
 
 
-def _iteration_config(args, params):
+def _iteration_config(args, params, roots=None):
     if args.config:
         return semiwavefront.config_from_json(_read_json(args.config, "iteration config"))
-    return semiwavefront.default_config(params, dt=args.dt, tol=args.tol)
+    return semiwavefront.default_config(params, dt=args.dt, tol=args.tol, roots=roots)
 
 
 def cmd_iterate(args, out: Path, manifest: RunManifest) -> int:
@@ -300,9 +300,10 @@ def cmd_iterate(args, out: Path, manifest: RunManifest) -> int:
 
 def cmd_check_asymptotics(args, out: Path, manifest: RunManifest) -> int:
     params = _build_params(args)
-    config = _iteration_config(args, params)
+    roots = None if args.config else spectral.roots_at_one(params)  # the default grid needs them
+    config = _iteration_config(args, params, roots)
     res = semiwavefront.iterate_front(config, params)
-    rep = semiwavefront.asymptotic_check(res.profile, params)
+    rep = semiwavefront.asymptotic_check(res.profile, params, roots)
     doc = {
         "model": params_to_json(params),
         "rate_minus_expected": rep.rate_minus_expected,

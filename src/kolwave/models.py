@@ -139,6 +139,9 @@ def _normalize_table(s, w):
     return s, w / mass
 
 
+_MOMENT_BLOCK = 1 << 17  # rates x table nodes per 2-D moment sum: bounds its temporaries
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Normalized averaging kernel K(s, y) in one of four shapes, and the
@@ -225,9 +228,12 @@ class Kernel:
         return (np.concatenate(([lo], s[keep], [hi])),
                 np.concatenate((ends[:1], w[keep], ends[1:])))
 
-    def laplace(self, lam: float, c: float) -> float:
+    def laplace(self, lam, c: float):
         """Whole-line moment integral exp(-lam*s) N_c(s) ds, i.e. the integral
-        of exp(-lam*(c*s + y)) against K; +inf past the abscissa."""
+        of exp(-lam*(c*s + y)) against K; +inf past the abscissa.  For an
+        array of rates `lam` it returns the array of moments (see _moments)."""
+        if np.ndim(lam):
+            return self._moments(np.asarray(lam, dtype=float), c, 0)
         if self.is_atom:
             return math.exp(-lam * c * self.tau)
         if self.kind == "weak-generic":
@@ -238,7 +244,10 @@ class Kernel:
             val = float(np.trapezoid(w * np.exp(-lam * s), s))
         return val if math.isfinite(val) else math.inf
 
-    def laplace_deriv(self, lam: float, c: float) -> float:
+    def laplace_deriv(self, lam, c: float):
+        """Derivative of `laplace` in lam; an array of rates gives an array."""
+        if np.ndim(lam):
+            return self._moments(np.asarray(lam, dtype=float), c, 1)
         if self.is_atom:
             return -c * self.tau * math.exp(-lam * c * self.tau)
         if self.kind == "weak-generic":
@@ -246,6 +255,33 @@ class Kernel:
             return -self.tau * (c - 2.0 * lam) / (denom * denom) if denom > 0.0 else math.inf
         s, w = self._arrays
         return float(np.trapezoid(-s * w * np.exp(-lam * s), s))
+
+    def _moments(self, lam: np.ndarray, c: float, order: int) -> np.ndarray:
+        """`laplace` (order 0) or `laplace_deriv` (order 1) at every rate of
+        `lam`, in the scalar forms' operation order: a table moment equals the
+        scalar one bitwise, a closed form to the ulp by which np.exp and
+        math.exp may differ."""
+        if self.is_atom:
+            e = np.exp(-lam * c * self.tau)
+            return e if order == 0 else -c * self.tau * e
+        if self.kind == "weak-generic":
+            denom = 1.0 + self.tau * (c * lam - lam * lam)
+            live = denom > 0.0
+            d = np.where(live, denom, 1.0)
+            val = 1.0 / d if order == 0 else -self.tau * (c - 2.0 * lam) / (d * d)
+            return np.where(live, val, math.inf)
+        s, w = self._arrays
+        rows = max(1, _MOMENT_BLOCK // len(s))  # rates per 2-D trapezoid sum
+
+        def sums(weight):
+            return np.concatenate([np.trapezoid(weight * np.exp(-lam[i:i + rows, None] * s), s)
+                                   for i in range(0, len(lam), rows)])
+
+        if order:
+            return sums(-s * w)
+        with np.errstate(over="ignore"):
+            val = sums(w)
+        return np.where(np.isfinite(val), val, math.inf)
 
     def finite_moment_interval(self, c: float) -> tuple[float, float]:
         """(lo, hi) open interval of lam where the moment is finite."""

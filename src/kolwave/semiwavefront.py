@@ -36,7 +36,7 @@ from .errors import (
 from .models import GrowthModel, Kernel, WaveParams, effective_kernel, json_field
 from .numerics import Grid, find_root
 from .profiles import Profile, build_profile, crossings_of_one
-from .spectral import kpp_roots, roots_at_one
+from .spectral import RootReport, kpp_roots, roots_at_one
 
 __all__ = [
     "ramp_cutoff",
@@ -265,8 +265,8 @@ def config_to_json(config: IterationConfig) -> dict:
     }
 
 
-def default_config(params: WaveParams, dt: float = 0.02,
-                   tol: float = 1e-9) -> IterationConfig:
+def default_config(params: WaveParams, dt: float = 0.02, tol: float = 1e-9,
+                   roots: RootReport | None = None) -> IterationConfig:
     """Config with the spelled-out defaults: cutoff level 1.5x the a-priori
     bound, shift b = G(0) - min G on [0, 2*beta] + 1, and a grid wide
     enough that both end states are resolved to ~1e-9.  Every law the bound
@@ -275,15 +275,17 @@ def default_config(params: WaveParams, dt: float = 0.02,
     The iteration is monotone when b*u + ramp_cutoff(u)*G(psi) is
     nondecreasing in u for u, psi in [0, 2*beta]; ramp_cutoff has slope +-1,
     so that needs b >= max(G(0), -G(2*beta)), which G(0) - G(2*beta) covers
-    with a margin of 1."""
+    with a margin of 1.  `roots` is roots_at_one(params) when the caller
+    already has it."""
     growth, c = params.growth, params.c
     bound = apriori_bound(c, params.kernel, growth)
     beta = 1.5 * bound.U
     b = growth.g0 - growth.g(2.0 * beta) + 1.0
 
     lam, _ = kpp_roots(c, growth.g0)
-    rep = roots_at_one(params)
-    negs = rep.real_negative_roots()
+    if roots is None:
+        roots = roots_at_one(params)
+    negs = roots.real_negative_roots()
     rate_plus = max((r.re for r in negs), default=-abs(growth.gp1) / c)
     t_lo = -21.0 / lam
     t_hi = 21.0 / max(-rate_plus, 1e-3) + max(params.kernel.mean(c), 0.0) + 10.0
@@ -464,8 +466,9 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
     if n * config.max_iters > _WORK_BUDGET:
         raise UnsupportedError(
             f"a front at c={c:g} on n={n} nodes may take {config.max_iters} sweeps, "
-            f"past the budget of {_WORK_BUDGET:.0e} node-sweeps (the default grid "
-            f"grows linearly in c)")
+            f"past the budget of {_WORK_BUDGET:.0e} node-sweeps; the grid spans "
+            f"{max(-grid.t0, 0.0):.6g} time units left of t = 0 and "
+            f"{max(grid.t_end, 0.0):.6g} right of it")
     ts = grid.nodes()
 
     bound = apriori_bound(c, kernel, growth)
@@ -548,10 +551,12 @@ class AsymptoticsReport:
     flags: tuple[str, ...]
 
 
-def asymptotic_check(profile: Profile, params: WaveParams) -> AsymptoticsReport:
+def asymptotic_check(profile: Profile, params: WaveParams,
+                     roots: RootReport | None = None) -> AsymptoticsReport:
     """Compare fitted tail exponents against the characteristic rates: the
     left tail against the slow rate at 0, the right tail against the nearest
-    real negative root of the linearization at 1."""
+    real negative root of the linearization at 1.  `roots` is
+    roots_at_one(params) when the caller already has it."""
     lam, _ = kpp_roots(params.c, params.growth.g0)
     flags: list[str] = []
     if "unconverged" in profile.flags or "unresolved-tail" in profile.flags:
@@ -566,7 +571,9 @@ def asymptotic_check(profile: Profile, params: WaveParams) -> AsymptoticsReport:
     matched = None
     rel_plus = None
     if profile.decay_plus is not None:
-        negs = roots_at_one(params).real_negative_roots()
+        if roots is None:
+            roots = roots_at_one(params)
+        negs = roots.real_negative_roots()
         if negs:
             matched = min((r.re for r in negs), key=lambda z: abs(z - profile.decay_plus))
             rel_plus = abs(profile.decay_plus - matched) / abs(matched)

@@ -102,9 +102,14 @@ def kpp_roots(c: float, g0: float) -> tuple[float, float]:
     return 0.5 * (c - r), 0.5 * (c + r)
 
 
+def _exp(z):
+    """math.exp of a float, np.exp of an array of rates."""
+    return np.exp(z) if isinstance(z, np.ndarray) else math.exp(z)
+
+
 def _scan_real_roots(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
+    f: Callable,
+    fprime: Callable,
     lo: float,
     hi: float,
     local_scale: Callable[[float], float],
@@ -112,33 +117,34 @@ def _scan_real_roots(
     """Sign-grid scan plus bisection; tangencies (no sign change, |f| dipping
     to ~0 at a critical point) are reported as double roots.
 
+    `f` and `fprime` take a float or an array of rates: the sign grid is one
+    array call of each, bisection and the tangency test call them on floats.
     `local_scale(z)` should return the magnitude of the individual terms of f
     at z; the tangency test |f| < tol * scale must not use a global scale,
     which exponential terms inflate at the far end of the window.
     """
     zs = np.linspace(lo, hi, _N_SCAN)
-    vals = np.array([f(z) for z in zs])
+    vals = f(zs)
 
     simple: list[float] = []
-    for i in range(_N_SCAN - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
+    flips = (vals[:-1] < 0) != (vals[1:] < 0)
+    for i in np.flatnonzero(flips | (vals[:-1] == 0.0)):
+        if vals[i] == 0.0:
             simple.append(float(zs[i]))
-        elif (v0 < 0) != (v1 < 0):
+        else:
             simple.append(find_root(f, (zs[i], zs[i + 1]), 1e-14))
     if vals[-1] == 0.0:
         simple.append(float(zs[-1]))
 
     doubles: list[float] = []
-    dvals = np.array([fprime(z) for z in zs])
-    for i in range(_N_SCAN - 1):
-        if (dvals[i] < 0) != (dvals[i + 1] < 0):
-            zc = find_root(fprime, (zs[i], zs[i + 1]), 1e-14)
-            if abs(f(zc)) < _DOUBLE_ROOT_FTOL * max(1.0, local_scale(zc)):
-                # skip if it merely sits between two already-resolved simple roots
-                near = [r for r in simple if abs(r - zc) < (hi - lo) / _N_SCAN]
-                if not near:
-                    doubles.append(zc)
+    dvals = fprime(zs)
+    for i in np.flatnonzero((dvals[:-1] < 0) != (dvals[1:] < 0)):
+        zc = find_root(fprime, (zs[i], zs[i + 1]), 1e-14)
+        if abs(f(zc)) < _DOUBLE_ROOT_FTOL * max(1.0, local_scale(zc)):
+            # skip if it merely sits between two already-resolved simple roots
+            near = [r for r in simple if abs(r - zc) < (hi - lo) / _N_SCAN]
+            if not near:
+                doubles.append(zc)
 
     roots = [Root(re=r) for r in simple] + [Root(re=r, mult=2) for r in doubles]
     return roots
@@ -166,10 +172,10 @@ def roots_at_one(params: WaveParams) -> RootReport:
         truncated = (lo, 0.0)
     hi = -1e-12
 
-    def f(z: float) -> float:
+    def f(z):
         return z * z - c * z + gp1 * kern.laplace(z, c)
 
-    def fp(z: float) -> float:
+    def fp(z):
         return 2.0 * z - c + gp1 * kern.laplace_deriv(z, c)
 
     def terms(z: float) -> float:
@@ -253,11 +259,11 @@ def delay_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     lo, hi = -20.0 / tau, -1e-12
     denom = 1.0 + gamma
 
-    def f(z: float) -> float:
-        return eps * z * z - z - math.exp(-z * tau) / denom
+    def f(z):
+        return eps * z * z - z - _exp(-z * tau) / denom
 
-    def fp(z: float) -> float:
-        return 2.0 * eps * z - 1.0 + tau * math.exp(-z * tau) / denom
+    def fp(z):
+        return 2.0 * eps * z - 1.0 + tau * _exp(-z * tau) / denom
 
     def terms(z: float) -> float:
         return eps * z * z + abs(z) + math.exp(-z * tau) / denom

@@ -168,6 +168,27 @@ def test_moment_transform_log_convex_on_triples():
             assert math.log(fm) <= 0.5 * (math.log(f0) + math.log(f1)) + 1e-12
 
 
+def _bump(lo: float, hi: float, n: int) -> Kernel:
+    x = np.linspace(0.0, 1.0, n)
+    return Kernel.tabulated(lo + (hi - lo) * x, x ** 1.5 * (1.0 - x) ** 2.2)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.dirac(), Kernel.discrete(0.4), Kernel.weak(0.35),
+                                    _bump(-0.5, 2.0, 161), _bump(-2.0, 40.0, 2000)],
+                         ids=["dirac", "discrete", "weak", "table", "long-table"])
+def test_moments_of_an_array_of_rates_equal_the_scalar_moments(kernel):
+    c = 2.7
+    lam = np.linspace(-20.0, 3.0, 512)  # the weak moment diverges below -0.2; exp(-lam*s) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for moment, ulps in ((kernel.laplace, 1), (kernel.laplace_deriv, 2)):
+            batch = moment(lam, c)
+            scalar = np.array([moment(float(v), c) for v in lam])
+            if kernel.is_atom:  # np.exp and math.exp may differ by an ulp; -c*tau*exp adds one
+                assert np.all(np.abs(batch - scalar) <= ulps * np.spacing(np.abs(scalar)))
+            else:
+                assert np.array_equal(batch, scalar, equal_nan=True)
+
+
 def test_effective_kernel_quadrature_integral_is_one():
     nk = effective_kernel(Kernel.weak(1.0), c=2.0)
     [val] = quad_adaptive(lambda s, k: np.interp(s, nk.s, nk.w, left=0.0, right=0.0),

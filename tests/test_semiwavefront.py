@@ -50,6 +50,21 @@ def kpp_run():
 # -------------------------------------------------------------------- cutoff
 
 
+def test_work_budget_refusal_names_the_node_count_and_both_spans():
+    # the 21/|rho| tail term, not the speed, makes this grid long: the right
+    # span is nearly thirty times the left one
+    params = WaveParams(GrowthModel.food_limited(40.0), Kernel.weak(9.0), 10.0)
+    config = default_config(params)
+    grid = config.grid
+    with pytest.raises(UnsupportedError) as info:
+        iterate_front(config, params)
+    msg = str(info.value)
+    assert f"n={grid.n} nodes" in msg
+    assert f"{-grid.t0:.6g} time units left of t = 0" in msg
+    assert f"{grid.t_end:.6g} right of it" in msg
+    assert grid.t_end > 25.0 * -grid.t0
+
+
 def test_ramp_cutoff_branches():
     assert ramp_cutoff(0.5, 2.0) == 0.5
     assert ramp_cutoff(3.0, 2.0) == 1.0

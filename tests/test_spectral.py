@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from kolwave.errors import PreconditionError, SubcriticalSpeedError
@@ -176,6 +177,34 @@ def test_roots_at_one_weak_kernel_truncates_at_divergence():
     assert rep.truncated_window is not None
     lo_fin, _ = params.kernel.finite_moment_interval(params.c)
     assert rep.truncated_window[0] >= lo_fin
+
+
+_X = np.linspace(0.0, 1.0, 161)
+# (growth, kernel, c) -> roots as (re, mult), recorded before the sign grid
+# was evaluated as one array call per function
+ROOT_CASES = [
+    (GrowthModel.food_limited(1.3), Kernel.dirac(), 2.7, [(-0.15242557509370863, 1)]),
+    (GrowthModel.kpp(), Kernel.discrete(0.4), 2.9,
+     [(-0.5473364249170103, 1), (-1.9151247677778596, 1)]),
+    (GrowthModel.food_limited(0.7), Kernel.discrete(0.15), 3.1,
+     [(-0.1954830930261216, 1), (-12.47233939827057, 1)]),
+    (GrowthModel.food_limited(0.9), Kernel.weak(0.35), 2.6,
+     [(-0.24458076788188832, 1), (-0.6625017474214541, 1)]),
+    (GrowthModel.kpp(), Kernel.weak(0.25), 2.8, [(-0.5899748742132397, 2)]),
+    (GrowthModel.food_limited(1.1),
+     Kernel.tabulated(-0.5 + 2.5 * _X, _X ** 1.5 * (1 - _X) ** 2.2), 2.9,
+     [(-0.17236443548224656, 1), (-3.978469574900811, 1)]),
+    (GrowthModel.kpp(), Kernel.tabulated(-0.8 + 3.0 * _X, _X ** 2.7 * (1 - _X) ** 1.3), 2.6,
+     [(-0.6436753513531868, 1), (-1.364502785509751, 1)]),
+]
+
+
+@pytest.mark.parametrize("growth, kernel, c, expected", ROOT_CASES,
+                         ids=["dirac", "discrete-kpp", "discrete", "weak", "weak-double",
+                              "table", "table-kpp"])
+def test_roots_at_one_repeats_the_recorded_roots_bitwise(growth, kernel, c, expected):
+    rep = roots_at_one(WaveParams(growth, kernel, c))
+    assert [(r.re, r.mult) for r in rep.roots] == expected
 
 
 def test_roots_at_one_max_four_negative_assertion_holds_on_samples():

@@ -115,6 +115,36 @@ def test_profile_and_region_csv_match_per_value_join(tmp_path):
     assert (tmp_path / "r.csv").read_text() == _csv_oracle(curve.header(), curve.rows())
 
 
+def _hard_floats() -> np.ndarray:
+    """Values a 17-digit printer can get wrong, in a few 10**5 floats."""
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
+    bits[:2000] &= np.uint64(0x800FFFFFFFFFFFFF)  # subnormals, both signs
+    pows = 10.0 ** np.arange(-300, 301)
+    near = [pows]
+    up, down = pows, pows
+    for _ in range(4):  # each power of ten, 4 ulps either side
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    # 17 digits that round up into an 18th, and their neighbours
+    carry = np.array([float(f"{m}e{e}") for m in ("9.99999999999999995", "9.99999999999999999",
+                                                    "1.99999999999999995", "9.9999999999999997")
+                      for e in range(-299, 300, 3)])
+    grid = -3.0 + 0.01 * np.arange(5000)  # a profile's time column
+    return np.concatenate([bits.view(np.float64), *near, carry, np.nextafter(carry, 0.0),
+                           np.nextafter(carry, np.inf), grid, AWKWARD,
+                           [1000000000000000.25, -2.5e-16 * 3.0, 1e16, 1e17, 1e-4, 1e-5]])
+
+
+def test_write_csv_prints_every_float_as_fmt_float(tmp_path):
+    values = _hard_floats()
+    values = values[:len(values) // 3 * 3]
+    rows = values.reshape(-1, 3)  # many formatter blocks, the last one %-formatted
+    write_csv(tmp_path / "h.csv", ("a", "b", "c"), rows)
+    expected = "".join(",".join(map(fmt_float, row)) + "\n" for row in rows.tolist())
+    assert (tmp_path / "h.csv").read_text() == "a,b,c\n" + expected
+
+
 @pytest.mark.parametrize("level", [None, 1.0])
 def test_write_svg_matches_per_point_join(tmp_path, level):
     rng = np.random.default_rng(5)
