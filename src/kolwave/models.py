@@ -10,6 +10,7 @@ descriptions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,7 +140,7 @@ def _normalize_table(s, w):
     return s, w / mass
 
 
-_MOMENT_BLOCK = 1 << 17  # rates x table nodes per 2-D moment sum: bounds its temporaries
+_EXP_CAP = math.log(sys.float_info.max) / 2.0  # exponent bound of table moment sums
 
 
 @dataclass(frozen=True)
@@ -228,66 +229,42 @@ class Kernel:
         return (np.concatenate(([lo], s[keep], [hi])),
                 np.concatenate((ends[:1], w[keep], ends[1:])))
 
-    def laplace(self, lam, c: float):
-        """Whole-line moment integral exp(-lam*s) N_c(s) ds, i.e. the integral
-        of exp(-lam*(c*s + y)) against K; +inf past the abscissa.  For an
-        array of rates `lam` it returns the array of moments (see _moments)."""
-        if np.ndim(lam):
-            return self._moments(np.asarray(lam, dtype=float), c, 0)
+    def laplace(self, lam: float, c: float, order: int = 0) -> float:
+        """Derivative of order `order` in lam of the whole-line moment
+        integral exp(-lam*s) N_c(s) ds (the integral of exp(-lam*(c*s + y))
+        against K), i.e. the integral of (-s)^order exp(-lam*s) N_c(s) ds;
+        +inf past the abscissa."""
         if self.is_atom:
-            return math.exp(-lam * c * self.tau)
+            return (-c * self.tau) ** order * math.exp(-lam * c * self.tau)
         if self.kind == "weak-generic":
             denom = 1.0 + self.tau * (c * lam - lam * lam)
-            return 1.0 / denom if denom > 0.0 else math.inf
+            if not denom > 0.0:
+                return math.inf
+            if order == 0:
+                return 1.0 / denom
+            # 1/denom = (1/(lam + right) + 1/(left - lam)) / (tau*(right + left))
+            right, left = self._weak_rates(c)
+            return (math.factorial(order) / (self.tau * (right + left))
+                    * ((-1.0 / (lam + right)) ** order / (lam + right)
+                       + (1.0 / (left - lam)) ** order / (left - lam)))
         s, w = self._arrays
+        if order:
+            w = (-s) ** order * w
         with np.errstate(over="ignore"):
             val = float(np.trapezoid(w * np.exp(-lam * s), s))
         return val if math.isfinite(val) else math.inf
 
-    def laplace_deriv(self, lam, c: float):
-        """Derivative of `laplace` in lam; an array of rates gives an array."""
-        if np.ndim(lam):
-            return self._moments(np.asarray(lam, dtype=float), c, 1)
-        if self.is_atom:
-            return -c * self.tau * math.exp(-lam * c * self.tau)
-        if self.kind == "weak-generic":
-            denom = 1.0 + self.tau * (c * lam - lam * lam)
-            return -self.tau * (c - 2.0 * lam) / (denom * denom) if denom > 0.0 else math.inf
-        s, w = self._arrays
-        return float(np.trapezoid(-s * w * np.exp(-lam * s), s))
-
-    def _moments(self, lam: np.ndarray, c: float, order: int) -> np.ndarray:
-        """`laplace` (order 0) or `laplace_deriv` (order 1) at every rate of
-        `lam`, in the scalar forms' operation order: a table moment equals the
-        scalar one bitwise, a closed form to the ulp by which np.exp and
-        math.exp may differ."""
-        if self.is_atom:
-            e = np.exp(-lam * c * self.tau)
-            return e if order == 0 else -c * self.tau * e
-        if self.kind == "weak-generic":
-            denom = 1.0 + self.tau * (c * lam - lam * lam)
-            live = denom > 0.0
-            d = np.where(live, denom, 1.0)
-            val = 1.0 / d if order == 0 else -self.tau * (c - 2.0 * lam) / (d * d)
-            return np.where(live, val, math.inf)
-        s, w = self._arrays
-        rows = max(1, _MOMENT_BLOCK // len(s))  # rates per 2-D trapezoid sum
-
-        def sums(weight):
-            return np.concatenate([np.trapezoid(weight * np.exp(-lam[i:i + rows, None] * s), s)
-                                   for i in range(0, len(lam), rows)])
-
-        if order:
-            return sums(-s * w)
-        with np.errstate(over="ignore"):
-            val = sums(w)
-        return np.where(np.isfinite(val), val, math.inf)
-
     def finite_moment_interval(self, c: float) -> tuple[float, float]:
-        """(lo, hi) open interval of lam where the moment is finite."""
+        """(lo, hi) open interval of lam where the moment is finite; for a
+        table, where every exp(-lam*s) on its nodes stays below the square
+        root of the largest float, so that its moment sums stay finite."""
         if self.kind == "weak-generic":
             right, left = self._weak_rates(c)
             return (-right, left)
+        if self.has_table:
+            first, last = float(self.table_s[0]), float(self.table_s[-1])
+            return (-_EXP_CAP / last if last > 0.0 else -math.inf,
+                    _EXP_CAP / -first if first < 0.0 else math.inf)
         return (-math.inf, math.inf)
 
     def laplace_right(self, lam: float, c: float) -> float:

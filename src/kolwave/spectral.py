@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .errors import KolwaveError, PreconditionError, SubcriticalSpeedError
+from .errors import PreconditionError, SubcriticalSpeedError
 from .models import WaveParams
 from .numerics import find_root
 
@@ -31,8 +30,8 @@ __all__ = [
     "CriticalDelays",
 ]
 
-_DOUBLE_ROOT_FTOL = 1e-9
-_N_SCAN = 512  # sign-grid points of a real-root scan
+# |f| at a critical point within this share of its terms' magnitude is a double root
+_ROUNDING = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -102,52 +101,37 @@ def kpp_roots(c: float, g0: float) -> tuple[float, float]:
     return 0.5 * (c - r), 0.5 * (c + r)
 
 
-def _exp(z):
-    """math.exp of a float, np.exp of an array of rates."""
-    return np.exp(z) if isinstance(z, np.ndarray) else math.exp(z)
+def _rolle_roots(derivs: list[Callable[[float], float]], lo: float, hi: float,
+                 terms: Callable[[float], float]) -> list[Root]:
+    """Real roots on [lo, hi] of f = derivs[0], given its derivatives up to
+    one, derivs[-1], that is monotone on [lo, hi].
 
-
-def _scan_real_roots(
-    f: Callable,
-    fprime: Callable,
-    lo: float,
-    hi: float,
-    local_scale: Callable[[float], float],
-) -> list[Root]:
-    """Sign-grid scan plus bisection; tangencies (no sign change, |f| dipping
-    to ~0 at a critical point) are reported as double roots.
-
-    `f` and `fprime` take a float or an array of rates: the sign grid is one
-    array call of each, bisection and the tangency test call them on floats.
-    `local_scale(z)` should return the magnitude of the individual terms of f
-    at z; the tangency test |f| < tol * scale must not use a global scale,
-    which exponential terms inflate at the far end of the window.
+    Each derivative is monotone on the pieces cut by the zeros of the one
+    above it, so a piece whose ends differ in sign holds exactly one zero,
+    which bisection finds.  A critical point of f where |f| is within the
+    rounding of `terms(z)`, the summed magnitude of f's terms, is a double
+    root; it replaces the simple roots that rounding leaves beside it.
     """
-    zs = np.linspace(lo, hi, _N_SCAN)
-    vals = f(zs)
-
-    simple: list[float] = []
-    flips = (vals[:-1] < 0) != (vals[1:] < 0)
-    for i in np.flatnonzero(flips | (vals[:-1] == 0.0)):
-        if vals[i] == 0.0:
-            simple.append(float(zs[i]))
-        else:
-            simple.append(find_root(f, (zs[i], zs[i + 1]), 1e-14))
-    if vals[-1] == 0.0:
-        simple.append(float(zs[-1]))
-
-    doubles: list[float] = []
-    dvals = fprime(zs)
-    for i in np.flatnonzero((dvals[:-1] < 0) != (dvals[1:] < 0)):
-        zc = find_root(fprime, (zs[i], zs[i + 1]), 1e-14)
-        if abs(f(zc)) < _DOUBLE_ROOT_FTOL * max(1.0, local_scale(zc)):
-            # skip if it merely sits between two already-resolved simple roots
-            near = [r for r in simple if abs(r - zc) < (hi - lo) / _N_SCAN]
-            if not near:
-                doubles.append(zc)
-
-    roots = [Root(re=r) for r in simple] + [Root(re=r, mult=2) for r in doubles]
+    cuts = [lo, hi]
+    for fn in derivs[:0:-1]:  # from the monotone derivative down to f'
+        cuts = [lo, *_piece_zeros(fn, cuts), hi]
+    f = derivs[0]
+    vals = [f(z) for z in cuts]
+    double = [0 < i < len(cuts) - 1 and abs(v) <= _ROUNDING * terms(z)
+              for i, (z, v) in enumerate(zip(cuts, vals))]
+    roots = [Root(re=z, mult=2) for z, d in zip(cuts, double) if d]
+    for i in range(len(cuts) - 1):
+        if not (double[i] or double[i + 1]) and (vals[i] < 0) != (vals[i + 1] < 0):
+            roots.append(Root(re=find_root(f, (cuts[i], cuts[i + 1]), 1e-14)))
     return roots
+
+
+def _piece_zeros(fn: Callable[[float], float], cuts: list[float]) -> list[float]:
+    """The zero of fn on each piece between consecutive cuts whose ends
+    differ in sign; fn must be monotone on each piece."""
+    vals = [fn(z) for z in cuts]
+    return [find_root(fn, (a, b), 1e-14)
+            for a, b, fa, fb in zip(cuts, cuts[1:], vals, vals[1:]) if (fa < 0) != (fb < 0)]
 
 
 def roots_at_one(params: WaveParams) -> RootReport:
@@ -156,8 +140,10 @@ def roots_at_one(params: WaveParams) -> RootReport:
 
     The search window is [-20/L, 0) with L the kernel's lag scale,
     clipped to the moment's finiteness interval (clipping is reported via
-    `truncated_window`).  At most four negative zeros can exist; more is an
-    internal error.
+    `truncated_window`).  G'(1) < 0 for every growth law and the fourth
+    derivative of M is positive, so the third derivative G'(1) M''' of the
+    left side is monotone and Rolle isolation (`_rolle_roots`) finds every
+    root: at most four, counted with multiplicity.
     """
     c = params.c
     gp1 = params.growth.gp1
@@ -172,19 +158,13 @@ def roots_at_one(params: WaveParams) -> RootReport:
         truncated = (lo, 0.0)
     hi = -1e-12
 
-    def f(z):
-        return z * z - c * z + gp1 * kern.laplace(z, c)
-
-    def fp(z):
-        return 2.0 * z - c + gp1 * kern.laplace_deriv(z, c)
-
     def terms(z: float) -> float:
         return z * z + abs(c * z) + abs(gp1 * kern.laplace(z, c))
 
-    roots = _scan_real_roots(f, fp, lo, hi, terms)
-    negatives = sum(r.mult for r in roots if r.re < 0)
-    if negatives > 4:
-        raise KolwaveError(f"found {negatives} negative roots; at most 4 possible")
+    roots = _rolle_roots([lambda z: z * z - c * z + gp1 * kern.laplace(z, c),
+                          lambda z: 2.0 * z - c + gp1 * kern.laplace(z, c, 1),
+                          lambda z: 2.0 + gp1 * kern.laplace(z, c, 2),
+                          lambda z: gp1 * kern.laplace(z, c, 3)], lo, hi, terms)
     return RootReport(roots=roots, truncated_window=truncated)
 
 
@@ -250,25 +230,24 @@ def delay_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     """Real roots in [-20/tau, 0) of the delayed characteristic
     eps z^2 - z - exp(-z tau)/(1+gamma) = 0.
 
-    For eps = 0 and tau < (1+gamma)/e there are exactly two simple negative
-    roots z2 < -1/tau < z1; they merge into a double root at -1/tau on the
-    boundary delay and vanish beyond it.
+    Its third derivative is positive, so its second is monotone and Rolle
+    isolation (`_rolle_roots`) finds every root.  For eps = 0 and
+    tau < (1+gamma)/e there are exactly two simple negative roots
+    z2 < -1/tau < z1; on the boundary delay, where the minimum of the left
+    side is zero within rounding, they are one double root at -1/tau,
+    classified 'boundary', and beyond it they vanish.
     """
     if gamma < 0 or not tau > 0 or eps < 0:
         raise PreconditionError("need gamma >= 0, tau > 0, eps >= 0")
-    lo, hi = -20.0 / tau, -1e-12
     denom = 1.0 + gamma
-
-    def f(z):
-        return eps * z * z - z - _exp(-z * tau) / denom
-
-    def fp(z):
-        return 2.0 * eps * z - 1.0 + tau * _exp(-z * tau) / denom
 
     def terms(z: float) -> float:
         return eps * z * z + abs(z) + math.exp(-z * tau) / denom
 
-    roots = _scan_real_roots(f, fp, lo, hi, terms)
+    roots = _rolle_roots([lambda z: eps * z * z - z - math.exp(-z * tau) / denom,
+                          lambda z: 2.0 * eps * z - 1.0 + tau * math.exp(-z * tau) / denom,
+                          lambda z: 2.0 * eps - tau * tau * math.exp(-z * tau) / denom],
+                         -20.0 / tau, -1e-12, terms)
     classification = "boundary" if any(r.mult == 2 for r in roots) else None
     return RootReport(roots=roots, classification=classification)
 

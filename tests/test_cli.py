@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 
+import numpy as np
 import pytest
 
 from kolwave import cli
@@ -23,6 +25,29 @@ def test_roots_discrete_two_negative(tmp_path):
     assert doc["critical_delays"]["discrete"] == pytest.approx(10.0 / math.e)
     assert (tmp_path / "roots.csv").exists()
     assert (tmp_path / "roots.manifest.json").exists()
+
+
+def test_roots_just_below_the_discrete_boundary_finds_the_close_pair(tmp_path):
+    # tau = (1 + gamma)/e * (1 - 1e-4): a 512-point sign scan saw no roots here
+    assert run(tmp_path, "roots", "--gamma", "9", "--tau", "3.678426532273252",
+               "--kernel", "discrete", "--c", "1e6") == 0
+    doc = json.loads((tmp_path / "roots.json").read_text())
+    assert doc["real_negative_count"] == 2 and doc["class"] is None
+    zs = [r["re"] for r in doc["roots"]]
+    assert zs == [pytest.approx(-0.268029, abs=1e-6), pytest.approx(-0.275718, abs=1e-6)]
+
+
+def test_long_table_front_runs_with_warnings_as_errors(tmp_path):
+    # at the root window's lam = -20, exp(-lam*s) overflows past s = 35 and
+    # the zero density at the end would turn it into a NaN
+    x = np.linspace(0.0, 1.0, 2000)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"s": (-2.0 + 42.0 * x).tolist(),
+                                 "density": (x ** 1.5 * (1.0 - x) ** 2.2).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check-asymptotics", "--model", "kpp", "--c", "2.6",
+                     "--kernel", f"table:{table}", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_roots_weak_focus(tmp_path):

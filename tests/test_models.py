@@ -176,17 +176,23 @@ def _bump(lo: float, hi: float, n: int) -> Kernel:
 @pytest.mark.parametrize("kernel", [Kernel.dirac(), Kernel.discrete(0.4), Kernel.weak(0.35),
                                     _bump(-0.5, 2.0, 161), _bump(-2.0, 40.0, 2000)],
                          ids=["dirac", "discrete", "weak", "table", "long-table"])
-def test_moments_of_an_array_of_rates_equal_the_scalar_moments(kernel):
-    c = 2.7
-    lam = np.linspace(-20.0, 3.0, 512)  # the weak moment diverges below -0.2; exp(-lam*s) overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        for moment, ulps in ((kernel.laplace, 1), (kernel.laplace_deriv, 2)):
-            batch = moment(lam, c)
-            scalar = np.array([moment(float(v), c) for v in lam])
-            if kernel.is_atom:  # np.exp and math.exp may differ by an ulp; -c*tau*exp adds one
-                assert np.all(np.abs(batch - scalar) <= ulps * np.spacing(np.abs(scalar)))
-            else:
-                assert np.array_equal(batch, scalar, equal_nan=True)
+def test_moment_derivatives_equal_central_differences(kernel):
+    c, h = 2.7, 1e-5
+    for lam in (-0.6, -0.2, 0.0, 0.5, 1.5):  # the weak moment is finite above -0.813
+        for k in (1, 2, 3):
+            diff = (kernel.laplace(lam + h, c, k - 1) - kernel.laplace(lam - h, c, k - 1)) / (2 * h)
+            assert kernel.laplace(lam, c, k) == pytest.approx(diff, rel=1e-6, abs=1e-12)
+
+
+def test_weak_moment_derivatives_equal_those_of_a_fine_table_of_its_density():
+    tau, c = 0.35, 2.7
+    half = math.sqrt(c * c / 4.0 + 1.0 / tau)
+    s = np.linspace(-20.0, 80.0, 400_001)  # a node at 0, where the density has its kink
+    table = Kernel.tabulated(s, np.exp(c * s / 2.0 - np.abs(s) * half))
+    for lam in (-0.2, 0.0, 0.5):
+        for k in (0, 1, 2, 3):
+            assert Kernel.weak(tau).laplace(lam, c, k) == pytest.approx(
+                table.laplace(lam, c, k), rel=1e-7)
 
 
 def test_effective_kernel_quadrature_integral_is_one():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -87,6 +89,45 @@ def test_delay_char_separation_property_across_parameters():
         assert z2 < -1.0 / tau < z1 < 0
 
 
+def _lambert_w(x: Decimal, w: Decimal) -> Decimal:
+    """The branch of Lambert W through Newton's start w: the root of
+    w e^w = x, to 60 digits."""
+    for _ in range(200):
+        e = w.exp()
+        step = (w * e - x) / (e * (w + 1))
+        w -= step
+        if abs(step) < Decimal(10) ** -50:
+            return w
+    raise AssertionError("Newton did not converge")
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_delay_char_close_pairs_below_the_boundary_equal_lambert_w(d):
+    # z = W(-tau/(1+gamma))/tau on both real branches, W_-1 from a start at -2
+    # and W_0 from 0, exact for the floating-point tau
+    gamma = 9.0
+    tau = (1.0 + gamma) / math.e * (1.0 - d)
+    rep = delay_char_roots(gamma, tau, 0.0)
+    assert [r.mult for r in rep.roots] == [1, 1] and rep.classification is None
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = -Decimal(tau) / Decimal(1.0 + gamma)
+        exact = [float(_lambert_w(x, Decimal(w0)) / Decimal(tau)) for w0 in (0, -2)]
+    # the pair's condition number grows as 1/sqrt(d): rounding the equation
+    # moves each root by about eps/(2 sqrt(d)) relative
+    rel = max(1e-12, 4.0 * sys.float_info.epsilon / math.sqrt(d))
+    assert [r.re for r in rep.roots] == [pytest.approx(z, rel=rel) for z in exact]
+
+
+@pytest.mark.parametrize("eps, tau", [(0.01, 3.0), (0.05, 11.0), (0.1, 1.0)])
+@pytest.mark.parametrize("d", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_delay_char_close_pairs_off_a_tangency_are_two_simple_roots(eps, tau, d):
+    z, gamma = _tangency(tau, eps)
+    rep = delay_char_roots(gamma * (1.0 + d), tau, eps)
+    assert [r.mult for r in rep.roots] == [1, 1] and rep.classification is None
+    assert rep.roots[1].re < z < rep.roots[0].re
+
+
 # ------------------------------------------------------------- weak quartic
 
 
@@ -164,11 +205,39 @@ def test_roots_at_one_matches_delay_characteristic_after_scaling():
 
 
 def test_roots_at_one_discrete_boundary_tangency():
-    gamma = 9.0
+    # on the eps = 0 boundary delay, c = 1e6 is no tangency: the c^-2 z^2 term
+    # lifts the minimum by 7.4e-14, about 1.4e-13 of the terms, so two simple
+    # roots lie there, the same as on the delay route at eps = 1e-12
+    gamma, c = 9.0, 1e6
     tau_crit = (1.0 + gamma) / math.e
-    params = WaveParams(GrowthModel.food_limited(gamma), Kernel.discrete(tau_crit), 1e6)
-    rep = roots_at_one(params)
-    assert any(r.mult == 2 for r in rep.roots)
+    rep = roots_at_one(WaveParams(GrowthModel.food_limited(gamma), Kernel.discrete(tau_crit), c))
+    delay = delay_char_roots(gamma, tau_crit, c ** -2)
+    assert [r.mult for r in rep.roots] == [r.mult for r in delay.roots] == [1, 1]
+    for r, w in zip(rep.roots, delay.roots):
+        assert r.re * c == pytest.approx(w.re, rel=1e-7)  # c times find_root's 1e-14
+    assert rep.roots[0].re * c == pytest.approx(-0.27182798, abs=5e-9)
+    assert rep.roots[1].re * c == pytest.approx(-0.27182838, abs=5e-9)
+
+
+def _tangency(tau: float, eps: float) -> tuple[float, float]:
+    """(z, gamma) with z a double root of eps z^2 - z - exp(-z tau)/(1+gamma):
+    z solves eps tau z^2 + (2 eps - tau) z - 1 = 0 near -1/tau, taken as
+    -1/(eps tau z_big) to avoid cancellation."""
+    big = ((tau - 2.0 * eps) + math.sqrt((2.0 * eps - tau) ** 2 + 4.0 * eps * tau)) / (2.0 * eps * tau)
+    z = -1.0 / (eps * tau * big)
+    return z, tau * math.exp(-z * tau) / (1.0 - 2.0 * eps * z) - 1.0
+
+
+@pytest.mark.parametrize("c", [3.0, 10.0, 1e3])
+def test_exact_tangencies_give_one_double_root(c):
+    tau = 3.0
+    z, gamma = _tangency(tau, c ** -2)
+    delay = delay_char_roots(gamma, tau, c ** -2)
+    assert [r.mult for r in delay.roots] == [2] and delay.classification == "boundary"
+    assert delay.roots[0].re == pytest.approx(z, rel=1e-7)
+    rep = roots_at_one(WaveParams(GrowthModel.food_limited(gamma), Kernel.discrete(tau), c))
+    assert [r.mult for r in rep.roots] == [2]
+    assert rep.roots[0].re * c == pytest.approx(z, rel=1e-7)
 
 
 def test_roots_at_one_weak_kernel_truncates_at_divergence():
@@ -179,23 +248,50 @@ def test_roots_at_one_weak_kernel_truncates_at_divergence():
     assert rep.truncated_window[0] >= lo_fin
 
 
+def test_roots_at_one_long_table_clips_its_window_where_moments_stay_finite():
+    x = np.linspace(0.0, 1.0, 2000)
+    kernel = Kernel.tabulated(-2.0 + 42.0 * x, x ** 1.5 * (1.0 - x) ** 2.2)
+    rep = roots_at_one(WaveParams(GrowthModel.kpp(), kernel, 2.6))
+    lo_fin, _ = kernel.finite_moment_interval(2.6)
+    assert -20.0 < lo_fin < rep.truncated_window[0] < lo_fin + 1e-6
+    for k in range(4):
+        assert math.isfinite(kernel.laplace(rep.truncated_window[0], 2.6, k))
+
+
+def test_roots_at_one_cuts_where_the_third_derivative_changes_sign():
+    # a little mass far left makes the second derivative of the left side
+    # dip between two negative ends; without the cut at the zero of the third
+    # derivative the isolation sees one monotone piece and finds no root
+    s = np.linspace(-4.0, 2.0, 1201)
+    kernel = Kernel.tabulated(s, np.exp(-((s - 0.155) / 0.02) ** 2)
+                              + 0.0073 * np.exp(-((s + 3.5) / 0.02) ** 2))
+    params = WaveParams(GrowthModel.quadratic(12.0, 0.0), kernel, 2.9)
+    rep = roots_at_one(params)
+    zs = np.linspace(-20.0, -1e-12, 2001)
+    f = np.array([z * z - 2.9 * z - 24.0 * kernel.laplace(float(z), 2.9) for z in zs])
+    flips = zs[1:][np.diff(np.sign(f)) != 0]  # the right end of each sign change
+    assert [r.mult for r in rep.roots] == [1, 1] and len(flips) == 2
+    assert [r.re for r in rep.roots] == [pytest.approx(z, abs=0.01) for z in flips[::-1]]
+
+
 _X = np.linspace(0.0, 1.0, 161)
-# (growth, kernel, c) -> roots as (re, mult), recorded before the sign grid
-# was evaluated as one array call per function
+# (growth, kernel, c) -> roots as (re, mult), recorded when Rolle isolation
+# replaced the 512-point sign scan; each moved from the scan's value by at
+# most 6.8e-15, within find_root's 1e-14, and kept its multiplicity
 ROOT_CASES = [
-    (GrowthModel.food_limited(1.3), Kernel.dirac(), 2.7, [(-0.15242557509370863, 1)]),
+    (GrowthModel.food_limited(1.3), Kernel.dirac(), 2.7, [(-0.15242557509370186, 1)]),
     (GrowthModel.kpp(), Kernel.discrete(0.4), 2.9,
-     [(-0.5473364249170103, 1), (-1.9151247677778596, 1)]),
+     [(-0.5473364249170096, 1), (-1.9151247677778582, 1)]),
     (GrowthModel.food_limited(0.7), Kernel.discrete(0.15), 3.1,
-     [(-0.1954830930261216, 1), (-12.47233939827057, 1)]),
+     [(-0.19548309302612235, 1), (-12.47233939827057, 1)]),
     (GrowthModel.food_limited(0.9), Kernel.weak(0.35), 2.6,
-     [(-0.24458076788188832, 1), (-0.6625017474214541, 1)]),
-    (GrowthModel.kpp(), Kernel.weak(0.25), 2.8, [(-0.5899748742132397, 2)]),
+     [(-0.24458076788188837, 1), (-0.6625017474214483, 1)]),
+    (GrowthModel.kpp(), Kernel.weak(0.25), 2.8, [(-0.5899748742132433, 2)]),
     (GrowthModel.food_limited(1.1),
      Kernel.tabulated(-0.5 + 2.5 * _X, _X ** 1.5 * (1 - _X) ** 2.2), 2.9,
-     [(-0.17236443548224656, 1), (-3.978469574900811, 1)]),
+     [(-0.17236443548224445, 1), (-3.9784695749008137, 1)]),
     (GrowthModel.kpp(), Kernel.tabulated(-0.8 + 3.0 * _X, _X ** 2.7 * (1 - _X) ** 1.3), 2.6,
-     [(-0.6436753513531868, 1), (-1.364502785509751, 1)]),
+     [(-0.6436753513531857, 1), (-1.364502785509749, 1)]),
 ]
 
 
