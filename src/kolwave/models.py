@@ -217,6 +217,11 @@ class Kernel:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.table_s), np.array(self.table_w)
 
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """np.diff of the table nodes, the cell widths of its trapezoid sums."""
+        return np.diff(self._arrays[0])
+
     def _clipped(self, lo: float, hi: float):
         """Nodes and density of the table restricted to [lo, hi], the cut ends
         interpolated (whole-line moments read the stored arrays instead)."""
@@ -251,7 +256,9 @@ class Kernel:
         if order:
             w = (-s) ** order * w
         with np.errstate(over="ignore"):
-            val = float(np.trapezoid(w * np.exp(-lam * s), s))
+            y = w * np.exp(-lam * s)
+            # np.trapezoid's own expression, without its per-call np.diff
+            val = float((self._steps * (y[1:] + y[:-1]) / 2.0).sum())
         return val if math.isfinite(val) else math.inf
 
     def finite_moment_interval(self, c: float) -> tuple[float, float]:

@@ -556,7 +556,8 @@ def integrate_dde(
 
 
 def find_root(f, bracket, tol: float = 1e-12) -> float:
-    """Bisection root of a continuous sign-changing f on bracket."""
+    """Bisection root of a continuous sign-changing f on bracket, to a
+    bracket of width tol or until its midpoint no longer splits it."""
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise PreconditionError("bracket must be increasing")
@@ -571,6 +572,8 @@ def find_root(f, bracket, tol: float = 1e-12) -> float:
         if b - a <= tol:
             break
         m = 0.5 * (a + b)
+        if not a < m < b:  # a and b are adjacent floats: the bracket cannot split
+            break
         fm = f(m)
         if fm == 0.0:
             return m

@@ -6,16 +6,18 @@ The profile equation phi'' - c phi' + phi*G(N_c * phi) = 0 is rewritten with
 a shift b > 0 as phi'' - c phi' - b phi + r(phi) = 0,
 r(phi) = b*phi + ramp_cutoff(phi)*G(N_c * phi), and inverted through the
 two-sided exponential Green kernel with rates z1 < 0 < z2 solving
-z^2 - c z - b = 0.  Its two one-sided convolutions are one exponential
-sweep, run forwards and on the reversed grid: a one-pass recurrence, exact
-for piecewise-linear integrands, with the half-infinite tail closed
-analytically.  Weights and power tables are built once per front, and
-every sweep runs in blocks (one cumsum over whole chunks, a scalar carry).
-N_c * phi runs through the comb of effective_kernel: np.correlate for atoms
-and short combs, a product with the comb's rFFT (built once per front) for
-combs long enough that taps*n outweighs the FFT.  A front whose grid nodes
-times max_iters exceeds a fixed work budget is refused before its grid is
-sampled.
+z^2 - c z - b = 0.  Its two one-sided convolutions are one-pass
+recurrences, run forwards and backwards, exact for piecewise-linear
+integrands, with the half-infinite tail closed analytically.  Together
+they are semiseparable: in chunks of 32 nodes, the image of a chunk is
+one row (its samples and the two sums carried in from either side) times
+one fixed matrix built once per front, so a sweep is two matrix products
+and a carry recurrence over the chunks.  The Picard loop runs on buffers
+allocated once per front.  N_c * phi runs through the comb of
+effective_kernel: np.correlate for atoms and short combs, a product with
+the comb's rFFT (built once per front) for combs long enough that taps*n
+outweighs the FFT.  A front whose grid nodes times max_iters exceeds a
+fixed work budget is refused before its grid is sampled.
 """
 
 from __future__ import annotations
@@ -293,76 +295,103 @@ def default_config(params: WaveParams, dt: float = 0.02, tol: float = 1e-9,
     return IterationConfig(b=b, beta=beta, grid=grid, tol=tol)
 
 
-_SWEEP_SPAN = 600.0  # largest -log(e**k) of one sweep chunk: e**-k stays below 1e261
+_SWEEP_SPAN = 600.0  # largest z2*h: a larger shift is refused as too large for the grid step
+_CHUNK = 32  # nodes per block of the Green operator; 16 and 64 run alike
+_LOOP_CARRIES = 40  # carry sequences up to this length run as a float loop
 
 
-def _sweep_tables(e: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Ratio and power tables e**(1..k), e**-(0..k-1) of a sweep over n nodes,
-    with the chunk length k short enough that e**-k cannot overflow: about
-    25/-log(e), at least 16 where e**-16 stays in range, and at least 1.
-    Needs e > exp(-_SWEEP_SPAN)."""
-    if e < 1.0:
-        rate = -math.log(e)
-        k = max(int(25.0 / max(1e-12, rate)), min(16, int(_SWEEP_SPAN / rate)))
-    else:
-        k = n
-    k = max(1, min(k, n - 1))
-    return e, e ** np.arange(1, k + 1), e ** -np.arange(k)
+def _cell_weights(alpha: float, h: float, lam: float) -> tuple[float, float]:
+    """Weights (far, near) on r[i-1] and r[i] of one cell of the one-sided
+    convolution int_-inf^t e^(alpha(t-s)) r(s) ds (alpha < 0), r linear on
+    the cell.  The exact one-cell weights get an antisymmetric O(h^2) split
+    that makes the recurrence I_i = e^(alpha h) I_{i-1} + far*r[i-1] +
+    near*r[i] exact on e^(lam t) as well as on constants."""
+    e = math.exp(alpha * h)
+    near = -1.0 / alpha + (e - 1.0) / (alpha * alpha * h)
+    far = (e - 1.0) / alpha - near
+    em = math.exp(-lam * h)
+    ell = (far * em + near) / (1.0 - e * em)
+    d = (1.0 / (lam - alpha) - ell) * (1.0 - e * em) / (em - 1.0)
+    return far + d, near - d
 
 
-def _sweep(tables: tuple[float, np.ndarray, np.ndarray], g: np.ndarray,
-           init: float) -> np.ndarray:
-    """I_0 = init; I_i = e*I_{i-1} + g[i-1] for i >= 1, in chunks of k: g is
-    zero-padded to whole chunks, one cumsum runs over them, a scalar carry
-    crosses them and one broadcast multiply fills them."""
-    e, pw, inv = tables
-    k = len(pw)
-    m = -(-len(g) // k)
-    s = np.zeros((m, k))
-    s.reshape(-1)[:len(g)] = g
-    s *= inv
-    s = np.cumsum(s, axis=1) / e
-    carries = np.empty(m)
-    carry = init
-    for i in range(m):
-        carries[i] = carry
-        carry = pw[-1] * (carry + s[i, -1])
-    return np.concatenate(([init], (pw * (carries[:, None] + s)).ravel()[:len(g)]))
+def _powers(rate: float, count: int) -> np.ndarray:
+    """e^(rate*j) for j < count (rate <= 0).  Powers below 2**-500 are
+    zero: next to a chunk's own terms they add nothing, and they would put
+    subnormal products, which the CPU runs far slower, into the sums."""
+    out = np.exp(rate * np.arange(count))
+    out[out < 2.0 ** -500] = 0.0
+    return out
 
 
-class _ExpSweep:
-    """int_-inf^t e^(alpha(t-s)) r(s) ds (alpha < 0) at n nodes of step h,
-    for r linear on each cell and r[0]*e^(tail_rate(s-t0)) left of the grid.
+class _Carries:
+    """x_0 = x0, x_{i+1} = e^rate * x_i + y_i over m values, for two
+    sequences at once: `rates`, `x0`, the inputs `y` and the outputs `out`
+    hold one entry per sequence.
 
-    The exact one-cell weights on r[i-1] (far) and r[i] (near) get an
-    antisymmetric O(h^2) split that makes the sweep exact on e^(lam t) as
-    well as on constants."""
+    Up to _LOOP_CARRIES values run as a float loop; longer sequences run in
+    the blocked form of the Green operator: one product with a fixed
+    _CHUNK x _CHUNK matrix gives every block's partial sums, and the block
+    heads are the same recurrence, m/_CHUNK long, with ratio
+    e^(rate*_CHUNK)."""
 
-    def __init__(self, alpha: float, h: float, n: int, lam: float, tail_rate: float):
-        e = math.exp(alpha * h)
-        near = -1.0 / alpha + (e - 1.0) / (alpha * alpha * h)
-        far = (e - 1.0) / alpha - near
-        em = math.exp(-lam * h)
-        ell = (far * em + near) / (1.0 - e * em)
-        d = (1.0 / (lam - alpha) - ell) * (1.0 - e * em) / (em - 1.0)
-        self.far, self.near = far + d, near - d
-        self.tail = 1.0 / (tail_rate - alpha)
-        self.tables = _sweep_tables(e, n)
+    def __init__(self, rates: tuple[float, float], m: int):
+        self.ratios = [math.exp(rate) for rate in rates]
+        self.heads = None
+        if m > _LOOP_CARRIES:
+            k = _CHUNK
+            pw = np.array([_powers(rate, k) for rate in rates])
+            ahead = np.arange(k) - np.arange(k)[:, None]  # j - l
+            self.steps = np.where(ahead > 0, pw[:, np.maximum(ahead - 1, 0)], 0.0)
+            self.powers = pw[:, None, :]
+            self.last = np.array(self.ratios)[:, None]
+            self.padded = np.zeros((2, -(-m // k) * k))
+            self.heads = _Carries(tuple(rate * k for rate in rates), -(-m // k))
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return _sweep(self.tables, self.far * r[:-1] + self.near * r[1:], self.tail * r[0])
+    def __call__(self, y, x0, out) -> None:
+        if self.heads is None:
+            for ratio, x, ys, o in zip(self.ratios, x0, y, out):
+                xs = [x]
+                for v in ys[:-1].tolist():
+                    x = ratio * x + v
+                    xs.append(x)
+                o[:] = xs
+            return
+        m, k = len(y[0]), _CHUNK
+        for row, ys in zip(self.padded, y):
+            row[:m] = ys
+        blocks = self.padded.reshape(2, -1, k)
+        sums = np.matmul(blocks, self.steps)  # x - ratio^j * head at each block's j-th value
+        feeds = self.last * sums[:, :, -1] + blocks[:, :, -1]  # the same one past the block
+        heads = np.empty(feeds.shape)
+        self.heads(feeds, x0, heads)
+        sums += heads[:, :, None] * self.powers
+        for o, row in zip(out, sums.reshape(2, -1)):
+            o[:] = row[:m]
 
 
 class _GreenOperator:
     """(1/(z2-z1)) * [int_-inf^t e^(z1(t-s)) r + int_t^inf e^(z2(t-s)) r] on
     a grid of n nodes with step h, applied to the samples r.
 
-    The left term sweeps forwards with the tail r[0]*e^(lam(s-t0)), the
-    right one sweeps the reversed grid with r frozen at r[-1].  Both cell
-    rules are exact on constants and on e^(lam t), so the two marginal
-    modes of the front iteration (the plateau and the translation tail) are
-    preserved to rounding, which keeps the fixed point from drifting off
-    the grid.
+    The left term is the recurrence of _cell_weights(z1, h, lam) with the
+    tail r[0]*e^(lam(s-t0)); the right one runs the mirrored recurrence
+    backwards with r frozen at r[-1].  Both cell rules are exact on
+    constants and on e^(lam t), so the two marginal modes of the front
+    iteration (the plateau and the translation tail) are preserved to
+    rounding, which keeps the fixed point from drifting off the grid.
+
+    Both recurrences are semiseparable: cut into chunks of k = _CHUNK
+    nodes, the image of chunk i is one row times one fixed (k + 5) x k
+    matrix.  The row holds r[ik-1 .. ik+k] less c_i = r[ik] (r continued
+    by its tail left of the grid and frozen at r[-1] right of it), the left
+    sum just before the chunk less its value on the constant c_i, the right
+    sum just after it less its value on c_{i+1}, and c_i/shift, the image
+    of the constant c_i (shift = -z1*z2).  A constant stretch of r thus
+    maps to exactly r/shift.  The two sums are first-order recurrences over the chunks,
+    fed by one product of the rows with two columns; a sweep is those two
+    products and the recurrences.  The operator holds its buffers: a
+    caller writes r into `self.r` and calls `image`.
     """
 
     def __init__(self, z1: float, z2: float, h: float, n: int, lam: float):
@@ -370,12 +399,61 @@ class _GreenOperator:
             raise PreconditionError(
                 f"Green rates z1*h = {z1 * h:.6g}, z2*h = {z2 * h:.6g} put a sweep ratio "
                 f"below exp(-{_SWEEP_SPAN:g}): the shift b is too large for the grid step {h:g}")
-        self.left = _ExpSweep(z1, h, n, lam, lam)
-        self.right = _ExpSweep(-z2, h, n, -lam, 0.0)
-        self.width = z2 - z1
+        k = _CHUNK
+        m = -(-n // k)
+        far1, near1 = _cell_weights(z1, h, lam)
+        far2, near2 = _cell_weights(-z2, h, -lam)
+        pw1, pw2 = _powers(z1 * h, k + 2), _powers(-z2 * h, k + 2)
+        # row p of a chunk's window is r[ik + p - 1]; column j is node ik + j
+        p, j = np.arange(k + 2)[:, None], np.arange(k)[None, :]
+        left = (np.where(p <= j, far1 * pw1[np.clip(j - p, 0, k)], 0.0)
+                + np.where((1 <= p) & (p <= j + 1), near1 * pw1[np.clip(j - p + 1, 0, k)], 0.0))
+        right = (np.where(p >= j + 2, far2 * pw2[np.clip(p - j - 2, 0, k)], 0.0)
+                 + np.where((j + 1 <= p) & (p <= k), near2 * pw2[np.clip(p - j - 1, 0, k)], 0.0))
+        self._feeds = np.column_stack((left[:, k - 1], right[:, 0]))
+        # the left sum before chunk i runs less c_i/(-z1), the right sum
+        # after it less c_{i+1}/z2; the window's last entry less c_i is
+        # c_{i+1} - c_i, so the change of constant folds into its row
+        self._feeds[k + 1] += (1.0 / z1, pw2[k] / z2)
+        right[k + 1] += pw2[k:0:-1] / z2
+        width = z2 - z1
+        self._blocks = np.vstack(((left + right) / width, pw1[1:k + 1] / width,
+                                  pw2[k:0:-1] / width, np.ones(k)))
+        self._carries = _Carries((z1 * h * k, -z2 * h * k), m)
+        self._z1, self.shift = z1, -z1 * z2
+        # the left tail r[0]*e^(lam(s-t0)) one node before t0, and its sum
+        self._tail_step = math.exp(-lam * h)
+        self._tail_sum = 1.0 / (lam - z1)
+        self.n = n
+        self.size = m * k
+        self._padded = np.empty(m * k + 2)
+        self.r = self._padded[1:n + 1]
+        self._windows = np.lib.stride_tricks.sliding_window_view(self._padded, k + 2)[::k]
+        self._refs = self._padded[1:m * k + 1:k]
+        self._rows = np.empty((m, k + 5))
+        self._fed = np.empty((m, 2))
+
+    def image(self, out: np.ndarray) -> np.ndarray:
+        """Image of the samples in `self.r`, written to `out` (`self.size`
+        floats); returns its first n."""
+        n, k = self.n, _CHUNK
+        padded, refs, rows, fed = self._padded, self._refs, self._rows, self._fed
+        padded[0] = self._tail_step * padded[1]
+        padded[n + 1:] = padded[n]
+        np.subtract(self._windows, refs[:, None], out=rows[:, :k + 2])
+        np.matmul(rows[:, :k + 2], self._feeds, out=fed)
+        # the right sums run backwards from the chunk after the grid, where
+        # r is frozen at r[-1] and its sum is r[-1]/z2
+        self._carries((fed[:, 0], fed[::-1, 1]),
+                      (self._tail_sum * padded[0] + refs[0] / self._z1, 0.0),
+                      (rows[:, k + 2], rows[::-1, k + 3]))
+        np.divide(refs, self.shift, out=rows[:, k + 4])
+        np.matmul(rows, self._blocks, out=out.reshape(-1, k))
+        return out[:n]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return (self.left(r) + self.right(r[::-1])[::-1]) / self.width
+        self.r[:] = r
+        return self.image(np.empty(self.size))
 
 
 # Work ratio taps*n / (nfft*log2(nfft)) above which the comb is applied by
@@ -430,9 +508,11 @@ def _convolver(kernel: Kernel, c: float, h: float, n: int):
     return conv
 
 
-# Largest grid nodes x max_iters one front may sweep: about 14 s at the
-# 4.7e-8 s per node-sweep of the traced bench fronts.  It admits the c = 50
-# KPP front (106,729 nodes x 1,500 sweeps) and refuses c = 500 (1.06M nodes).
+# Largest grid nodes x max_iters one front may sweep: about 5 s at the
+# 1.7e-8 s per node-sweep of the traced fronts-atom bench run, and 20 s at
+# the 6.8e-8 of fronts-weak, where the kernel comb dominates (2-core Xeon,
+# numpy 2.4).  It admits the c = 50 KPP front (106,729 nodes x 1,500
+# sweeps) and refuses c = 500 (1.06M nodes).
 _WORK_BUDGET = 300_000_000
 
 
@@ -490,26 +570,42 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
     # the discrete Green image of the upper solution's own right-hand side
     # measures the O(h^2) defect of the discretization; the sandwich slack
     # must sit above it, otherwise pure discretization error reads as a breach
-    r_upper = config.b * phi_plus + growth.g0 * ramp_cutoff(phi_plus, config.beta)
+    r_upper = green.shift * phi_plus + growth.g0 * ramp_cutoff(phi_plus, config.beta)
     defect = float(np.max(np.abs(green(r_upper) - phi_plus)))
     slack = 10.0 * config.tol + 3.0 * defect
     floor, ceiling = phi_minus - slack, phi_plus + slack
 
-    phi = phi_plus.copy()
+    # phi and phi_next swap between two buffers; r is the operator's own
+    # buffer, and every n-sized step of the sweep writes in place.  The
+    # shift is the operator's own -z1*z2 (config.b to rounding), the one
+    # constant r that it maps to exactly 1, so a plateau at 1 stays at 1
+    b, two_beta = green.shift, 2.0 * config.beta
+    buf, spare = np.empty(green.size), np.empty(green.size)
+    phi = buf[:n]
+    phi[:] = phi_plus
+    r, scratch, breach = green.r, np.empty(n), np.empty(n, dtype=bool)
     history: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        r = config.b * phi + ramp_cutoff(phi, config.beta) * growth.g(conv(phi))
-        phi_next = green(r)
-        if np.any(phi_next < floor) or np.any(phi_next > ceiling):
+        gvals = growth.g(conv(phi))
+        np.subtract(two_beta, phi, out=scratch)  # ramp_cutoff(phi, beta)
+        np.maximum(0.0, scratch, out=scratch)
+        np.minimum(phi, scratch, out=scratch)
+        np.multiply(scratch, gvals, out=scratch)
+        np.multiply(b, phi, out=r)
+        np.add(r, scratch, out=r)
+        phi_next = green.image(spare)
+        if (np.less(phi_next, floor, out=breach).any()
+                or np.greater(phi_next, ceiling, out=breach).any()):
             raise InvarianceBreachError(
                 "iterate escaped the sandwich; revisit b, beta, or the grid span")
-        delta = float(np.max(np.abs(phi_next - phi)))
+        np.subtract(phi_next, phi, out=scratch)
+        delta = float(np.abs(scratch, out=scratch).max())
         if not math.isfinite(delta):
             raise DivergenceError(f"Picard sweep {iterations} left non-finite samples")
         history.append(delta)
-        phi = phi_next
+        phi, buf, spare = phi_next, spare, buf
         if delta < config.tol:
             converged = True
             break

@@ -390,3 +390,14 @@ def test_params_json_roundtrip():
 def test_params_json_missing_or_mistyped_field_is_named(doc, field):
     with pytest.raises(PreconditionError, match=f"'{field}'"):
         params_from_json(doc)
+
+
+def test_table_laplace_equals_numpy_trapezoid_bitwise():
+    x = np.linspace(0.0, 1.0, 161)
+    kernel = Kernel.tabulated(-0.8 + 3.0 * x, x ** 2.7 * (1 - x) ** 1.3)
+    s, w = np.array(kernel.table_s), np.array(kernel.table_w)
+    rng = np.random.default_rng(17)
+    for lam in rng.uniform(-20.0, 20.0, 1000):
+        for order in range(4):
+            want = float(np.trapezoid((-s) ** order * w * np.exp(-lam * s), s))
+            assert kernel.laplace(lam, 2.6, order) == want, (lam, order)

@@ -19,11 +19,10 @@ from kolwave.numerics import Grid
 from kolwave.profiles import MONOTONE
 from kolwave.spectral import kpp_roots
 from kolwave.semiwavefront import (
+    _CHUNK,
     _GreenOperator,
     _convolver,
     _fft_length,
-    _sweep,
-    _sweep_tables,
     apriori_bound,
     asymptotic_check,
     default_config,
@@ -334,78 +333,44 @@ def test_green_operator_monotone_on_sandwich_pairs(growth):
 # ------------------------------------------------------------ Green operator
 
 
-def _chunk_length(e):
-    return max(16, int(25.0 / max(1e-12, -math.log(e))))
-
-
-def _chunked_recurrence(g, e, init):
-    """Oracle: the chunk-by-chunk sweep the blocked one replaced.  I_0 = init;
-    I_i = e*I_{i-1} + g_i, with fresh power tables in every chunk."""
-    n = len(g)
-    out = np.empty(n)
-    out[0] = init
-    step = _chunk_length(e) if e < 1.0 else n
-    carry = init
-    i = 1
-    while i < n:
-        j = min(n, i + step)
-        block = g[i:j]
-        k = j - i
-        pw = e ** np.arange(1, k + 1)
-        inv = e ** -np.arange(k)
-        out[i:j] = pw * (carry + np.cumsum(block * inv) / e)
-        carry = out[j - 1]
-        i = j
-    return out
+def _sweep(e, g, init):
+    """Oracle: the plain recurrence I_0 = init; I_i = e*I_{i-1} + g[i-1]."""
+    out = [init]
+    for v in g.tolist():
+        out.append(e * out[-1] + v)
+    return np.array(out)
 
 
 SWEEP_RATIOS = [math.exp(-0.005), math.exp(-0.1), 0.5, 0.05]
+# per-cell rates -log(ratio) of tiny ratios, up to the largest z2*h the
+# operator accepts (600)
+TINY_RATIO_RATES = [25.0 / 16.0 + 0.01, 62.6, 219.0, 599.0]
 
 
-def _sweep_sizes(e):
-    k = _chunk_length(e)
-    # n = 2; n - 1 below the chunk length, an exact multiple of it, one past one
-    return [2, k // 2 + 1, 3 * k + 1, 3 * k + 2]
-
-
-@pytest.mark.parametrize("e", SWEEP_RATIOS)
-def test_blocked_sweep_equals_chunked_oracle_bitwise(e):
-    assert _chunk_length(0.05) == 16
-    rng = np.random.default_rng(11)
-    for n in _sweep_sizes(e):
-        g = rng.uniform(-1.0, 1.0, n)
-        g[0] = 0.0
-        got = _sweep(_sweep_tables(e, n), g[1:], 0.7)
-        assert np.array_equal(got, _chunked_recurrence(g, e, 0.7))
-
-
-@pytest.mark.parametrize("e", SWEEP_RATIOS)
-def test_blocked_sweep_matches_plain_loop(e):
+@pytest.mark.parametrize("rate", [-math.log(e) for e in SWEEP_RATIOS] + TINY_RATIO_RATES + [None],
+                         ids=[str(e) for e in SWEEP_RATIOS] + [str(r) for r in TINY_RATIO_RATES]
+                         + ["c=50"])
+def test_blocked_sweep_matches_plain_loop(rate):
+    # the block operator against the plain-loop recurrence of both sweeps:
+    # a right sweep of ratio e^-rate (the left one e^(-0.8 rate)) on grids
+    # from 2 nodes to past 3 chunks, or the c = 50 grid (105,500 nodes),
+    # whose carries run blocked two levels deep
+    if rate is None:
+        params = WaveParams(GrowthModel.kpp(), Kernel.dirac(), 50.0)
+        config = default_config(params)
+        (z1, z2), h = config.green_rates(50.0), config.grid.dt
+        lam, sizes = kpp_roots(50.0, 1.0)[0], [config.grid.n]
+    else:
+        h = 0.02
+        z1, z2, lam = -0.8 * rate / h, rate / h, 0.3 * rate / h
+        sizes = [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 2]
     rng = np.random.default_rng(12)
-    for n in _sweep_sizes(e):
-        g = rng.random(n)
-        want = np.empty(n)
-        want[0] = 0.7
-        for i in range(1, n):
-            want[i] = e * want[i - 1] + g[i]
-        got = _sweep(_sweep_tables(e, n), g[1:], 0.7)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("rate", [25.0 / 16.0 + 0.01, 62.6, 219.0, 599.0])
-def test_sweep_tables_stay_finite_for_a_tiny_ratio(rate):
-    # past rate 25/16 the 16-node floor binds; past 37.5 it would overflow e**-15
-    e, n = math.exp(-rate), 200
-    _, pw, inv = _sweep_tables(e, n)
-    assert np.isfinite(pw).all() and np.isfinite(inv).all() and pw[-1] > 0.0
-    assert len(pw) == (16 if rate < 37.5 else max(1, int(600.0 / rate)))
-    rng = np.random.default_rng(13)
-    g = rng.uniform(0.5, 1e12, n)
-    want = np.empty(n)
-    want[0] = 0.7
-    for i in range(1, n):
-        want[i] = e * want[i - 1] + g[i]
-    assert np.allclose(_sweep((e, pw, inv), g[1:], 0.7), want, rtol=1e-12, atol=0.0)
+    for n in sizes:
+        r = rng.uniform(0.5, 1e12, n)
+        op = _GreenOperator(z1, z2, h, n, lam)
+        assert np.isfinite(op._blocks).all()
+        want = _two_formula_operator(z1, z2, h, n, lam)(r)
+        assert np.allclose(op(r), want, rtol=1e-12, atol=0.0), n
 
 
 def test_green_operator_refuses_a_ratio_below_the_sweep_range():
@@ -465,12 +430,10 @@ def _two_formula_operator(z1, z2, h, n, lam):
     d2 = (1.0 / (z2 - lam) - rho) * (1.0 - e2 * ep) / (1.0 - ep)
     a2, b2 = a2 + d2, b2 - d2
 
-    left, right = _sweep_tables(e1, n), _sweep_tables(e2, n)
-
     def apply(r):
-        i_left = _sweep(left, a1 * r[:-1] + b1 * r[1:], r[0] / (lam - z1))
+        i_left = _sweep(e1, a1 * r[:-1] + b1 * r[1:], r[0] / (lam - z1))
         w = a2 * r[:-1] + b2 * r[1:]
-        i_right = _sweep(right, w[::-1], r[-1] / z2)[::-1]
+        i_right = _sweep(e2, w[::-1], r[-1] / z2)[::-1]
         return (i_left + i_right) / (z2 - z1)
 
     return apply
@@ -546,6 +509,24 @@ def test_quadratic_growth_without_hump_iterates():
     assert res.profile.decay_minus == pytest.approx(0.5, rel=0.05)
     rep = asymptotic_check(res.profile, params)
     assert rep.rel_err_plus is not None and rep.rel_err_plus < 0.10
+
+
+_TABLE_S = np.linspace(-0.5, 2.1, 261)
+
+
+@pytest.mark.parametrize("growth, kernel, c, sweeps", [
+    (GrowthModel.kpp(), Kernel.dirac(), 3.5, 117),
+    (GrowthModel.food_limited(2.0), Kernel.discrete(0.4), 2.5, 160),
+    (GrowthModel.food_limited(1.0),
+     Kernel.tabulated(_TABLE_S, np.exp(-((_TABLE_S - 0.8) ** 2) / 0.18)), 2.5, 128),
+], ids=["kpp-dirac-3.5", "food2-discrete-0.4", "food1-table"])
+def test_acceptance_matrix_fronts_keep_their_sweep_counts(growth, kernel, c, sweeps):
+    # three fronts of the acceptance iteration matrix, with the sweep counts
+    # of the chunked-cumsum operator that the block operator replaced
+    params = WaveParams(growth, kernel, c)
+    res = iterate_front(default_config(params, dt=0.02, tol=1e-9), params)
+    assert res.converged
+    assert res.iterations == sweeps
 
 
 def test_picard_loop_refuses_a_non_finite_sweep(monkeypatch):

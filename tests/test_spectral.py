@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kolwave.errors import PreconditionError, SubcriticalSpeedError
+from kolwave import spectral
 from kolwave.models import GrowthModel, Kernel, WaveParams
 from kolwave.spectral import (
     delay_char_roots,
@@ -301,6 +302,23 @@ ROOT_CASES = [
 def test_roots_at_one_repeats_the_recorded_roots_bitwise(growth, kernel, c, expected):
     rep = roots_at_one(WaveParams(growth, kernel, c))
     assert [(r.re, r.mult) for r in rep.roots] == expected
+
+
+def test_far_delay_root_stops_bisecting_once_the_bracket_cannot_split(monkeypatch):
+    # the root near -147.9 is found to two adjacent floats (wider than the
+    # 1e-14 tol) long before find_root's 400 passes; bisecting all of them
+    # cost 860 evaluations, with the same roots
+    real = spectral.find_root
+    calls = []
+
+    def counting(f, bracket, tol=1e-12):
+        return real(lambda z: calls.append(z) or f(z), bracket, tol)
+
+    monkeypatch.setattr(spectral, "find_root", counting)
+    rep = delay_char_roots(10.0, 0.05, 0.0)
+    assert len(calls) == 168
+    assert [(r.re.hex(), r.im, r.mult) for r in rep.roots] == [
+        ("-0x1.76115d7ab9728p-4", 0.0, 1), ("-0x1.27c611e4490a0p+7", 0.0, 1)]
 
 
 def test_roots_at_one_max_four_negative_assertion_holds_on_samples():
