@@ -20,6 +20,8 @@ from kolwave.profiles import MONOTONE
 from kolwave.spectral import kpp_roots
 from kolwave.semiwavefront import (
     _CHUNK,
+    _LOOP_CARRIES,
+    _Carries,
     _GreenOperator,
     _convolver,
     _fft_length,
@@ -345,6 +347,48 @@ SWEEP_RATIOS = [math.exp(-0.005), math.exp(-0.1), 0.5, 0.05]
 # per-cell rates -log(ratio) of tiny ratios, up to the largest z2*h the
 # operator accepts (600)
 TINY_RATIO_RATES = [25.0 / 16.0 + 0.01, 62.6, 219.0, 599.0]
+
+
+def _chunked_carries(rate, y, x0):
+    """Oracle: the recurrence x_0 = x0, x_{t+1} = e^rate*x_t + y_t chunk by
+    chunk, for y with at most one nonzero value per chunk.  Each chunk's
+    values are its head times e^(rate*j) plus the impulse's response; the
+    head one past the chunk is one more step from the chunk's last value,
+    and the heads run the plain recurrence with ratio e^(rate*_CHUNK)."""
+    k, m = _CHUNK, len(y)
+    pw = np.exp(rate * np.arange(k)).tolist()  # the operator's in-chunk powers
+    ratio, head_ratio = math.exp(rate), math.exp(rate * k)
+    out, head = [], x0
+    for i in range(0, m, k):
+        chunk = np.concatenate((y[i:i + k], np.zeros(i + k - min(m, i + k)))).tolist()
+        hit = [l for l, v in enumerate(chunk) if v != 0.0]
+        l, v = (hit[0], chunk[hit[0]]) if hit else (k, 0.0)
+        response = [v * pw[j - l - 1] if j > l else 0.0 for j in range(k)]
+        out.extend(head * pw[j] + response[j] for j in range(k))
+        head = head_ratio * head + (ratio * response[-1] + chunk[-1])
+    return np.array(out[:m])
+
+
+@pytest.mark.parametrize("e", SWEEP_RATIOS)
+def test_blocked_sweep_equals_chunked_oracle_bitwise(e):
+    # one impulse of a power of two per chunk keeps every product in the
+    # block matmul exact, so the blocked carries must match the chunk-by-
+    # chunk oracle to the bit whatever order the BLAS sums in
+    rates = (math.log(e), 0.8 * math.log(e))
+    rng = np.random.default_rng(11)
+    for m in [_LOOP_CARRIES + 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 2,
+              _LOOP_CARRIES * _CHUNK]:
+        ys = np.zeros((2, m))
+        for y in ys:
+            for i in range(0, m, _CHUNK):
+                at = i + rng.integers(0, _CHUNK + 1)  # _CHUNK past the chunk: none
+                if at < min(m, i + _CHUNK):
+                    y[at] = rng.choice([-1.0, 1.0]) * 2.0 ** rng.integers(-20, 21)
+        x0 = (0.7, -1.3)
+        got = np.empty((2, m))
+        _Carries(rates, m)(ys, x0, got)
+        for rate, y, x, row in zip(rates, ys, x0, got):
+            assert np.array_equal(row, _chunked_carries(rate, y, x)), m
 
 
 @pytest.mark.parametrize("rate", [-math.log(e) for e in SWEEP_RATIOS] + TINY_RATIO_RATES + [None],
