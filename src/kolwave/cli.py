@@ -27,6 +27,7 @@ from . import __version__
 from . import discretedelay, planarflow, semiwavefront, spectral
 from .errors import KolwaveError, PreconditionError, UnsupportedError
 from .models import WaveParams, params_from_json, params_to_json
+from .numerics import MAX_GRID_NODES
 from .profiles import Profile, fmt_float, format_rows, write_csv
 
 SVG_WIDTH, SVG_HEIGHT = 800, 400
@@ -248,6 +249,9 @@ def _parse_range(spec: str) -> np.ndarray:
     steps = (stop - start) / step + 1e-9
     if not math.isfinite(steps):
         raise PreconditionError(f"range has no finite number of points, got {spec!r}")
+    if steps >= MAX_GRID_NODES:  # checked before np.arange allocates the points
+        raise PreconditionError(
+            f"range {spec!r} has more than the cap of {MAX_GRID_NODES} points")
     return start + step * np.arange(int(steps) + 1)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedError,
 )
 from .models import GrowthModel
-from .numerics import integrate_dde, lower_edge, maximize_scalar
+from .numerics import find_root, integrate_dde, lower_edge
 from .profiles import (
     EPS_MAX,
     OSCILLATING,
@@ -155,34 +155,55 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
 def overshoot_bound(gamma: float, tau: float) -> float:
     """Closed-form lower bound for the maximum of the limit profile:
 
-        max over a in [0, 1] of
+        max over a in (0, 1] of
         a * exp(tau + (1-a)*tau/(1+gamma*a))
           * ((1+a*gamma)/(1+a*gamma*e^tau))^(1+1/gamma).
 
     A value above 1 certifies a non-monotone connection.  Exactly 1 at
-    tau = 0.  The gamma = 0 limit is not defined and is rejected, and so is
-    a tau whose e^tau overflows.
+    tau = 0.  In x = gamma*a, with s = e^-tau and k = 1 + 1/gamma, the
+    derivative of the log maximand has the sign of the monic cubic
+
+        Q(x) = (1+x)^2 (s+x) - tau*k*x*(s+x) + k*(s-1)*x*(1+x).
+
+    Q(0) = s > 0 and its roots multiply to -s, so at most two are positive,
+    one on each side of the local minimum of Q.  The maximum is taken at
+    a = 1 or at the smaller positive root, found by bisection in log x (at
+    large tau it lies far below 1e-300).  The maximand is evaluated in log
+    space and in x, where a may underflow.  A gamma that is not positive or
+    whose 1/gamma overflows is rejected, and so is a tau whose e^tau
+    overflows.
     """
-    if gamma <= 0:
-        raise UnsupportedError("overshoot bound needs gamma > 0")
+    if not gamma > 0 or 1.0 / gamma == math.inf:
+        raise UnsupportedError(f"overshoot bound needs gamma > 0 with a finite 1/gamma, "
+                               f"got {gamma!r}")
     if not 0 <= tau <= _TAU_MAX:
         raise PreconditionError(f"tau must lie in [0, {_TAU_MAX:.6g}]")
-    e_tau = math.exp(tau)
-    expo = 1.0 + 1.0 / gamma
+    s, rise, growth = math.exp(-tau), -math.expm1(-tau), math.expm1(tau)
+    k, log_gamma = 1.0 + 1.0 / gamma, math.log(gamma)
+    c2 = 2.0 + s - k * (tau + rise)
+    c1 = 1.0 + 2.0 * s - k * (tau * s + rise)
 
-    def maximand(a: float) -> float:
-        if a <= 0.0:
-            return 0.0
-        logv = (
-            math.log(a)
-            + tau
-            + (1.0 - a) * tau / (1.0 + gamma * a)
-            + expo * (math.log1p(gamma * a) - math.log1p(gamma * a * e_tau))
-        )
-        return math.exp(logv)
+    def log_maximand(x: float) -> float:
+        # log((1+x)/(1+x*e^tau)) as -log1p((e^tau - 1)*x/(1+x)), which cannot overflow
+        return (math.log(x) - log_gamma + tau + (1.0 - x / gamma) * tau / (1.0 + x)
+                - k * math.log1p(growth * (x / (1.0 + x))))
 
-    _, best = maximize_scalar(maximand, (0.0, 1.0), 1e-12, scan_points=512)
-    return best
+    def cubic(u: float) -> float:  # Q(e^u)
+        x = math.exp(u)
+        return ((x + c2) * x + c1) * x + s
+
+    best = log_maximand(gamma)  # a = 1
+    disc = c2 * c2 - 3.0 * c1  # of Q'(x) = 3x^2 + 2*c2*x + c1; inf when c2 is huge
+    if disc < 0 or min(c1, c2) >= 0:  # Q' > 0 for x > 0, so Q > Q(0) > 0
+        return math.exp(best)
+    # the larger zero of Q', the local minimum of Q
+    top = min(gamma, (math.sqrt(disc) - c2) / 3.0 if c2 < 0 else -c1 / (c2 + math.sqrt(disc)))
+    # Q(lo) >= s/2, unless lo underflows and is clamped to the smallest float
+    lo = max(s / (2.0 * (1.0 + abs(c2) + abs(c1))), math.ulp(0.0))
+    if lo < top and cubic(math.log(lo)) > 0.0 > cubic(math.log(top)):
+        best = max(best, log_maximand(math.exp(find_root(cubic, (math.log(lo), math.log(top)),
+                                                         1e-14))))
+    return math.exp(best)
 
 
 def overshoot_region(gammas, tol: float = 1e-3) -> RegionCurve:

@@ -47,7 +47,7 @@ __all__ = [
 
 _EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
 _MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
-_MAX_GRID_NODES = 10_000_000  # nodes of one Grid: 80 MB per sampled array
+MAX_GRID_NODES = 10_000_000  # nodes of one Grid: 80 MB per sampled array
 
 Gauge = Callable[[float, tuple], float]  # an event is a sign change of g(t, y)
 
@@ -65,10 +65,10 @@ class Grid:
             raise PreconditionError(f"grid step must be positive, got {self.dt}")
         if self.n < 2:
             raise PreconditionError(f"grid needs at least 2 nodes, got {self.n}")
-        if self.n > _MAX_GRID_NODES:
+        if self.n > MAX_GRID_NODES:
             raise PreconditionError(
                 f"grid of n={self.n} nodes at dt={self.dt} exceeds the cap of "
-                f"{_MAX_GRID_NODES} nodes")
+                f"{MAX_GRID_NODES} nodes")
 
     @property
     def t_end(self) -> float:
@@ -607,9 +607,10 @@ def lower_edge(pred, hi: float, tol: float) -> float:
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN_POINTS = 64  # uniform scan that seeds the golden-section search
 
 
-def maximize_scalar(f, interval, tol: float = 1e-9, scan_points: int = 64):
+def maximize_scalar(f, interval, tol: float = 1e-9):
     """Golden-section maximisation seeded by a uniform scan.
 
     Returns (argmax, max).  The returned max is never below any scanned
@@ -618,13 +619,13 @@ def maximize_scalar(f, interval, tol: float = 1e-9, scan_points: int = 64):
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError("interval must be increasing")
-    xs = np.linspace(a, b, scan_points).tolist()  # Python floats: overflow gives inf silently
+    xs = np.linspace(a, b, _SCAN_POINTS).tolist()  # Python floats: overflow gives inf silently
     vals = [f(x) for x in xs]
     i_best = int(np.argmax(vals))
     best_x, best_v = float(xs[i_best]), vals[i_best]
 
     lo = xs[max(i_best - 1, 0)]
-    hi = xs[min(i_best + 1, scan_points - 1)]
+    hi = xs[min(i_best + 1, _SCAN_POINTS - 1)]
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from kolwave import cli
 from kolwave.cli import main
+from kolwave.errors import PreconditionError
 
 
 def run(tmp_path, *argv):
@@ -218,6 +220,30 @@ def test_region_tau_star_ignores_the_bisection_tol(tmp_path):
         csvs.append((tmp_path / tol / "region-tau-star.csv").read_bytes())
     assert csvs[0] == csvs[1]
 
+
+@pytest.mark.parametrize("kind", ["tau-sharp", "tau-star"])
+def test_region_threads_repeat_the_serial_csv_byte_for_byte(tmp_path, kind):
+    csvs = []
+    for jobs in ("1", "2"):
+        assert run(tmp_path / jobs, "region", kind, "--gamma", "30:40:10", "--tol", "0.1",
+                   "--jobs", jobs) == 0
+        csvs.append((tmp_path / jobs / f"region-{kind}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_region_range_past_the_point_cap_exits_2_before_allocating(tmp_path):
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "region", "overshoot", "--gamma", "1:1e12:1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10 ** 7
+    assert not (tmp_path / "region-overshoot.csv").exists()
+    # 10^7 + 1 points: one past the cap
+    with pytest.raises(PreconditionError):
+        cli._parse_range("0:1e7:1")
 
 @pytest.mark.parametrize("kind", ["tau-star", "overshoot"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -6,8 +6,9 @@ iteration against the projected kernel.  Route B integrates the slow-manifold
 reduction of the scaled-time equations and maps back through t -> t/c.  The
 routes share no numerical machinery beyond elementary arithmetic, so
 agreement bounds the combined error of the kernel projection, the operator
-discretization, and the reduced integration (the reduction itself is exact
-through O(eps^2))."""
+discretization, and the reduced integration (the reduction itself is not
+exact: its profile gap, measured at gamma = 2 for c = 4 to 12, is
+0.05-0.11 eps^2)."""
 
 from __future__ import annotations
 
