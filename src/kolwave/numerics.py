@@ -47,7 +47,7 @@ __all__ = [
 
 _EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
 _MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
-MAX_GRID_NODES = 10_000_000  # nodes of one Grid: 80 MB per sampled array
+MAX_GRID_NODES = 10_000_000  # nodes of one Grid or points of a CLI range: 80 MB per array
 
 Gauge = Callable[[float, tuple], float]  # an event is a sign change of g(t, y)
 
