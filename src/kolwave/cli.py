@@ -202,9 +202,8 @@ def cmd_heteroclinic(args, out: Path, manifest: RunManifest) -> int:
         "shape": res.shape,
     }
     _profile_outputs(out, "phi", res.profile, manifest, extra)
-    psi_csv = out / "psi.csv"
-    res.psi_profile.to_csv(psi_csv)
-    manifest.outputs.append(psi_csv.name)
+    write_csv(out / "psi.csv", ("t", "psi"), np.column_stack((res.profile.ts, res.psi)))
+    manifest.outputs.append("psi.csv")
     print(f"shape={res.shape} phi_max={res.phi_max:.6f}")
     return 0
 
@@ -266,8 +265,7 @@ def cmd_region(args, out: Path, manifest: RunManifest) -> int:
         curve = discretedelay.overshoot_region(gammas, tol=min(args.tol, 1e-2))
     else:
         kind = "tau_sharp" if args.kind == "tau-sharp" else "tau_star"
-        curve = planarflow.boundary_region(gammas, tol=args.tol, kinds=(kind,),
-                                           jobs=args.jobs)
+        curve = planarflow.boundary_region(gammas, tol=args.tol, kinds=(kind,))
     csv_path = out / f"region-{args.kind}.csv"
     curve.to_csv(csv_path)
     svg_path = out / f"region-{args.kind}.svg"
@@ -418,7 +416,8 @@ def _test_function_args(p) -> None:
 def _region_args(p) -> None:
     p.add_argument("kind", choices=("tau-sharp", "tau-star", "overshoot"))
     p.add_argument("--gamma", required=True, help="START:STOP:STEP")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted (at least 1) and ignored: the sweep runs serially")
     p.add_argument("--tol", type=finite_float, default=0.05, help="bisection width of the "
                    "tau-sharp and overshoot edges; tau-star is a minimum and ignores it")
     _common(p)

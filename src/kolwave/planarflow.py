@@ -16,7 +16,6 @@ stable positive equilibrium at (1, 1).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +129,7 @@ def lyapunov(gamma: float, tau: float, state) -> tuple[float, float]:
 @dataclass
 class HeteroclinicResult:
     profile: Profile
-    psi_profile: Profile
+    psi: np.ndarray  # psi samples on the grid of profile
     shape: str
     phi_max: float
     entry_direction: np.ndarray
@@ -219,13 +218,10 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     prof = build_profile(ts, phi, crossings=cross_times, flags=flags,
                          amplitude=start_amplitude,
                          plus_window=(max(3.0 * r_cap, 1e-7), 1e-3))
-    psi_prof = build_profile(ts, psi, crossings=(), flags=flags,
-                             amplitude=start_amplitude,
-                             plus_window=(max(3.0 * r_cap, 1e-7), 1e-3))
     focus = tau > (1.0 + gamma) / 4.0
     return HeteroclinicResult(
         profile=prof,
-        psi_profile=psi_prof,
+        psi=psi,
         shape=OSCILLATING if focus and prof.crossings else prof.shape,
         phi_max=phi_max,
         entry_direction=entry,
@@ -407,10 +403,11 @@ def tau_sharp(gamma: float, tol: float = 0.05) -> float:
     return lower_edge(overshoots, hi, tol)
 
 
-def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
-                    jobs: int = 1) -> RegionCurve:
-    """Boundary curves over a gamma grid; a point whose solver raises a
-    KolwaveError becomes a NaN gap, any other exception propagates.
+def boundary_region(gammas, tol: float = 0.05,
+                    kinds=("tau_sharp", "tau_star")) -> RegionCurve:
+    """Boundary curves over a gamma grid, one point after another; a point
+    whose solver raises a KolwaveError becomes a NaN gap, any other
+    exception propagates.
 
     Columns: tau_sharp, tau_star (NaN when not requested or not defined) and
     the node-to-focus edge tau_upper = (1+gamma)/4.  `tol` is tau_sharp's
@@ -419,23 +416,14 @@ def boundary_region(gammas, tol: float = 0.05, kinds=("tau_sharp", "tau_star"),
     gammas = np.asarray(list(gammas), dtype=float)
     # looked up per call, so a replaced module attribute is the one that runs
     solvers = {"tau_sharp": lambda g: tau_sharp(g, tol), "tau_star": tau_star}
-
-    def one(g: float) -> list[float]:
-        row = []
-        for kind, solver in solvers.items():
+    results = np.empty((len(gammas), 3))
+    for row, g in zip(results, gammas):
+        for i, (kind, solver) in enumerate(solvers.items()):
             try:
-                row.append(solver(g) if kind in kinds else math.nan)
+                row[i] = solver(g) if kind in kinds else math.nan
             except KolwaveError:
-                row.append(math.nan)
-        return row + [(1.0 + g) / 4.0]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, gammas))
-    else:
-        results = [one(g) for g in gammas]
-
-    results = np.array(results)
+                row[i] = math.nan
+        row[2] = (1.0 + g) / 4.0
     return RegionCurve(
         gamma=gammas,
         columns={

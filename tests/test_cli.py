@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 import tracemalloc
 import warnings
@@ -102,6 +103,20 @@ def test_heteroclinic_outputs(tmp_path):
     svg = (tmp_path / "phi.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
     assert (tmp_path / "psi.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["heteroclinic", "weak-profile"])
+def test_psi_csv_shares_the_phi_grid_under_its_own_header(tmp_path, command):
+    argv = ["--gamma", "40", "--tau", "10"] + (["--eps", "0.02"] if command == "weak-profile" else [])
+    assert run(tmp_path, command, *argv) == 0
+    phi = (tmp_path / "phi.csv").read_text().splitlines()
+    psi = (tmp_path / "psi.csv").read_text().splitlines()
+    assert psi[0] == "t,psi"
+    assert len(psi) == len(phi) > 1000
+    assert [r.split(",")[0] for r in psi[1:]] == [r.split(",")[0] for r in phi[1:]]
+    vals = [float(r.split(",")[1]) for r in psi[1:]]
+    assert vals[0] < 1e-5 and vals[-1] == pytest.approx(1.0, abs=1e-5)
+    assert "psi.csv" in json.loads((tmp_path / f"{command}.manifest.json").read_text())["outputs"]
 
 
 def test_limit_profile_outputs(tmp_path):
@@ -229,6 +244,20 @@ def test_region_threads_repeat_the_serial_csv_byte_for_byte(tmp_path, kind):
                    "--jobs", jobs) == 0
         csvs.append((tmp_path / jobs / f"region-{kind}.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_region_sweep_starts_no_thread_whatever_jobs_says(tmp_path, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert run(tmp_path, "region", "tau-star", "--gamma", "8:9:1", "--jobs", "1000000") == 0
+    assert started == []
+    assert len((tmp_path / "region-tau-star.csv").read_text().splitlines()) == 3
 
 
 def test_region_range_past_the_point_cap_exits_2_before_allocating(tmp_path):

@@ -323,32 +323,38 @@ def test_tau_sharp_nondecreasing_in_gamma():
 
 
 def test_boundary_region_curve_with_threads():
-    curve = boundary_region([30.0, 40.0], tol=0.1, jobs=2)
+    curve = boundary_region([30.0, 40.0], tol=0.1)
     assert curve.header() == ["gamma", "tau_sharp", "tau_star", "tau_upper"]
     assert np.allclose(curve.columns["tau_upper"], [(31.0) / 4.0, 41.0 / 4.0])
     assert np.all(curve.columns["tau_sharp"] <= curve.columns["tau_star"] + 0.1)
     assert np.all(curve.columns["tau_star"] < curve.columns["tau_upper"])
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_boundary_region_propagates_programming_errors(monkeypatch, jobs):
+def test_boundary_region_propagates_programming_errors(monkeypatch):
     def broken(gamma, tol):
         raise TypeError("not a solver failure")
 
     monkeypatch.setattr(pf, "tau_sharp", broken)
     with pytest.raises(TypeError):
-        boundary_region([10.0, 20.0], kinds=("tau_sharp",), jobs=jobs)
+        boundary_region([10.0, 20.0], kinds=("tau_sharp",))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_boundary_region_solver_failure_is_a_gap(monkeypatch, jobs):
+def test_boundary_region_solver_failure_is_a_gap(monkeypatch):
     def diverging(gamma, tol):
         raise DivergenceError("step size underflow")
 
     monkeypatch.setattr(pf, "tau_sharp", diverging)
-    curve = boundary_region([10.0, 20.0], kinds=("tau_sharp",), jobs=jobs)
+    curve = boundary_region([10.0, 20.0], kinds=("tau_sharp",))
     assert np.all(np.isnan(curve.columns["tau_sharp"]))
     assert np.allclose(curve.columns["tau_upper"], [11.0 / 4.0, 21.0 / 4.0])
+
+
+def test_boundary_region_over_an_empty_grid_is_an_empty_curve():
+    curve = boundary_region([])
+    assert curve.header() == ["gamma", "tau_sharp", "tau_star", "tau_upper"]
+    assert curve.gamma.shape == (0,)
+    assert all(col.shape == (0,) for col in curve.columns.values())
+    assert list(curve.rows()) == []
 
 
 # ------------------------------------------------------- finite-speed profiles
