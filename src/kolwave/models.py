@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import MomentError, PreconditionError
 from .numerics import quad_adaptive
 
 __all__ = [
@@ -240,7 +240,11 @@ class Kernel:
         against K), i.e. the integral of (-s)^order exp(-lam*s) N_c(s) ds;
         +inf past the abscissa."""
         if self.is_atom:
-            return (-c * self.tau) ** order * math.exp(-lam * c * self.tau)
+            try:
+                return (-c * self.tau) ** order * math.exp(-lam * c * self.tau)
+            except OverflowError:
+                raise MomentError(f"moment of order {order} of the point mass at "
+                                  f"{c * self.tau:.6g} overflows at rate {lam:.6g}") from None
         if self.kind == "weak-generic":
             denom = 1.0 + self.tau * (c * lam - lam * lam)
             if not denom > 0.0:
@@ -316,6 +320,8 @@ class WaveParams:
     def __post_init__(self):
         if self.c < 0:
             raise PreconditionError("wave speed must be non-negative")
+        if not math.isfinite(self.c * self.kernel.tau):
+            raise PreconditionError("c * tau, where the kernel's mass sits, must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -586,14 +586,14 @@ def find_root(f, bracket, tol: float = 1e-12) -> float:
 
 def lower_edge(pred, hi: float, tol: float) -> float:
     """Lower edge of {t in (0, hi] : pred(t)} for a predicate that holds at
-    hi and stays true above its edge: halve down from hi/2 while pred holds
-    (a value below 1e-6*hi is returned as the edge), then bisect to a
-    bracket of width tol, or until its midpoint no longer splits it, and
-    return that midpoint."""
-    lo = hi / 2.0
+    hi and stays true above its edge: halve down from hi/2 while pred holds,
+    the last point where it held becoming the top (a value below 1e-6*hi is
+    returned as the edge), then bisect to a bracket of width tol, or until
+    its midpoint no longer splits it, and return that midpoint."""
+    floor, lo = 1e-6 * hi, hi / 2.0
     while pred(lo):
-        lo /= 2.0
-        if lo < 1e-6 * hi:
+        hi, lo = lo, lo / 2.0
+        if lo < floor:
             return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .numerics import cubic_real_roots, integrate_ode, lower_edge, maximize_scalar
 from .profiles import EPS_MAX, OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
+from .spectral import weak_rates_at_one
 
 __all__ = [
     "FlowField",
@@ -94,16 +95,15 @@ class EigenDirections:
 
 
 def eigen_directions(gamma: float, tau: float) -> EigenDirections:
+    """The eigenvector of the eigenvalue -w at (1, 1) has slope (1+gamma) w."""
     flow_field(gamma, tau)
     u = np.array([1.0 + tau, 1.0])
     u = u / np.linalg.norm(u)
-    mid = (1.0 + gamma) / (2.0 * tau)
-    rad = mid * mid - (1.0 + gamma) / tau
-    if rad < 0:
+    w_slow, w_fast, d = weak_rates_at_one(gamma, tau)
+    if d < 0:
         return EigenDirections(n1=None, n2=None, unstable_origin=u, focus=True)
-    root = math.sqrt(rad)
-    n1 = np.array([1.0, mid - root])
-    n2 = np.array([1.0, mid + root])
+    n1 = np.array([1.0, (1.0 + gamma) * w_slow.real])
+    n2 = np.array([1.0, (1.0 + gamma) * w_fast.real])
     return EigenDirections(n1=n1 / np.linalg.norm(n1), n2=n2 / np.linalg.norm(n2),
                            unstable_origin=u, focus=False)
 
@@ -136,28 +136,11 @@ class HeteroclinicResult:
     captured: bool
 
 
-def _slow_rate_at_one(gamma: float, tau: float) -> float:
-    """|Re| of the slowest eigenvalue at (1, 1)."""
-    mid = -1.0 / (2.0 * tau)
-    rad = 1.0 / (4.0 * tau * tau) - 1.0 / (tau * (1.0 + gamma))
-    if rad < 0:
-        return abs(mid)
-    return abs(mid + math.sqrt(rad))
-
-
-def _contraction_matrix(jac: np.ndarray) -> np.ndarray:
-    """P solving J^T P + P J = -I for a 2x2 Hurwitz J."""
-    j11, j12 = jac[0]
-    j21, j22 = jac[1]
-    a = np.array(
-        [
-            [2 * j11, 2 * j21, 0.0],
-            [j12, j11 + j22, j21],
-            [0.0, 2 * j12, 2 * j22],
-        ]
-    )
-    p11, p12, p22 = np.linalg.solve(a, np.array([-1.0, 0.0, -1.0]))
-    return np.array([[p11, p12], [p12, p22]])
+def _contraction_matrix(gamma: float, tau: float) -> np.ndarray:
+    """P solving J^T P + P J = -I for the Jacobian
+    J = [[0, -1/(1+gamma)], [1/tau, -1/tau]] of the planar flow at (1, 1)."""
+    return np.array([[1.0 + gamma + tau / 2.0, -tau / 2.0],
+                     [-tau / 2.0, tau * (1.0 + tau / (1.0 + gamma)) / 2.0]])
 
 
 def _cramer(m, b, det: float) -> tuple[float, float]:
@@ -167,7 +150,7 @@ def _cramer(m, b, det: float) -> tuple[float, float]:
             (m[0][0] * b[1] - m[1][0] * b[0]) / det)
 
 
-def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
+def _run_connection(rhs, gamma, tau, start_amplitude, tol):
     """Integrate from the origin's unstable tangent until capture at (1, 1).
 
     Capture stops the run at distance 10*tol from the equilibrium,
@@ -185,7 +168,8 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     y0 = start_amplitude * direction / np.linalg.norm(direction)
     r_cap = 10.0 * tol
 
-    rate = _slow_rate_at_one(gamma, tau)
+    w_slow, _, d = weak_rates_at_one(gamma, tau)
+    rate = w_slow.real  # of the slowest eigenvalue at (1, 1)
     max_span = 1.5 * (math.log(2.0 / start_amplitude) + math.log(2.0 / r_cap) / rate) + 50.0
 
     traj, (crossings, extrema, capture) = integrate_ode(
@@ -197,7 +181,7 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     t_end = traj.t_end
     captured = bool(capture)
     if captured:
-        p = _contraction_matrix(jac_at_one)
+        p = _contraction_matrix(gamma, tau)
         x = traj(t_end) - e
         if 2.0 * x @ p @ rhs(t_end, traj(t_end)) >= 0:
             captured = False  # not yet inside the contraction basin
@@ -218,11 +202,10 @@ def _run_connection(rhs, jac_at_one, gamma, tau, start_amplitude, tol):
     prof = build_profile(ts, phi, crossings=cross_times, flags=flags,
                          amplitude=start_amplitude,
                          plus_window=(max(3.0 * r_cap, 1e-7), 1e-3))
-    focus = tau > (1.0 + gamma) / 4.0
     return HeteroclinicResult(
         profile=prof,
         psi=psi,
-        shape=OSCILLATING if focus and prof.crossings else prof.shape,
+        shape=OSCILLATING if d < 0 and prof.crossings else prof.shape,
         phi_max=phi_max,
         entry_direction=entry,
         captured=captured,
@@ -238,8 +221,7 @@ def heteroclinic(gamma: float, tau: float, start_amplitude: float = 1e-6,
     """
     field = flow_field(gamma, tau)
     try:
-        return _run_connection(field.rhs, field.linearization_at_one(),
-                               gamma, tau, start_amplitude, tol)
+        return _run_connection(field.rhs, gamma, tau, start_amplitude, tol)
     except DivergenceError as exc:  # globally stable: should not happen
         raise DivergenceError(
             f"planar connection left the basin unexpectedly: {exc}",
@@ -273,8 +255,7 @@ def finite_speed_profile(gamma: float, tau: float, eps: float,
         return _cramer(m, field.rhs(t, y), det)
 
     try:
-        return _run_connection(rhs, field.linearization_at_one(), gamma, tau,
-                               start_amplitude, tol)
+        return _run_connection(rhs, gamma, tau, start_amplitude, tol)
     except (DivergenceError, FieldEvaluationError) as exc:
         raise StiffShootingError(
             f"slow-manifold shooting failed at eps={eps}; "

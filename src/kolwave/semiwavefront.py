@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BracketError,
     DivergenceError,
     InvarianceBreachError,
-    KolwaveError,
     MomentError,
     PreconditionError,
     UnsupportedError,
@@ -88,7 +88,7 @@ def _sigma_for_left_branch(c: float, lam: float) -> float:
     while q(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:
-            raise KolwaveError("sigma search failed to bracket")
+            raise BracketError("sigma search failed to bracket")
     return find_root(q, (lo, hi), 1e-12)
 
 
@@ -115,11 +115,9 @@ def apriori_bound(c: float, kernel: Kernel, growth: GrowthModel) -> BoundReport:
         while kernel.mass_on(-float(r), 0.0, c) <= 0.99:
             r += 1
             if r > 10_000:
-                raise KolwaveError("kernel mass does not concentrate on a finite window")
+                raise MomentError("kernel mass does not concentrate on a finite window")
         sigma = _sigma_for_left_branch(c, lam)
         candidates.append((2.0 * math.exp(lam * (r + sigma)), "left-support"))
-    if not candidates:
-        raise KolwaveError("no bound branch applies")
     u, branch = min(candidates)
     return BoundReport(U=max(u, 1.0), branch=branch)
 
@@ -564,7 +562,7 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
     m_amp = lower_amplitude(c, growth.g0, mu_lower, upper, kernel, growth)
     phi_minus = lower_solution(lam, mu_lower, m_amp, grid)
     if np.any(phi_minus > phi_plus + 1e-12):
-        raise KolwaveError("lower solution escaped above the upper solution")
+        raise InvarianceBreachError("lower solution escaped above the upper solution")
     conv = _convolver(kernel, c, h, n)
 
     # the discrete Green image of the upper solution's own right-hand side

@@ -2,7 +2,8 @@
 
 Covers the quadratic at the zero state (KPP rates lambda(c) <= mu(c)), the
 transcendental linearization about the positive state for a general kernel,
-the quartic of the two-component weak-kernel wave system, the delayed
+the quartic of the two-component weak-kernel wave system (through the rates
+at (1, 1) of its planar kinetics, which planarflow reads too), the delayed
 characteristic of the discrete-delay profile equation, and the closed-form
 critical delays separating real from complex spectra.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "RootReport",
     "kpp_roots",
     "roots_at_one",
+    "weak_rates_at_one",
     "weak_char_roots",
     "delay_char_roots",
     "real_root_boundary",
@@ -168,11 +170,24 @@ def roots_at_one(params: WaveParams) -> RootReport:
     return RootReport(roots=roots, truncated_window=truncated)
 
 
+def weak_rates_at_one(gamma: float, tau: float) -> tuple[complex, complex, float]:
+    """The roots w of tau w^2 - w + 1/(1+gamma) = 0, whose negatives are the
+    eigenvalues of the weak-kernel planar kinetics at (1, 1), as
+    (w_slow, w_fast, d) with d = 1 - 4 tau/(1+gamma): a node for d > 0, a
+    focus (a conjugate pair) for d < 0.  Written so that neither 1/tau^2 is
+    formed nor near-equal terms are subtracted."""
+    d = 1.0 - 4.0 * tau / (1.0 + gamma)
+    root = 1.0 + cmath.sqrt(d)
+    return 2.0 / (1.0 + gamma) / root, root / (2.0 * tau), d
+
+
 def weak_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     """All roots of the weak-kernel wave quartic
     (eps z^2 - z)^2 - (eps z^2 - z)/tau + 1/(tau(1+gamma)) = 0.
 
-    Solved exactly through the intermediate quadratic in w = eps z^2 - z.
+    Solved exactly through the intermediate quadratic in w = eps z^2 - z
+    (`weak_rates_at_one`), then eps z^2 - z - w = 0 for each w, its small
+    root taken as -2w/(1 + sqrt(1 + 4 eps w)) so that nothing cancels.
     Classification: 'node' for two simple real roots with negative part
     (tau < (1+gamma)/4), 'focus' past that delay, 'boundary' on the curve.
     """
@@ -181,27 +196,24 @@ def weak_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     if eps < 0:
         raise PreconditionError("eps must be non-negative")
 
-    disc_w = 1.0 / (tau * tau) - 4.0 / (tau * (1.0 + gamma))
-    scale = 1.0 / (tau * tau)
-    if abs(disc_w) <= 1e-12 * scale:
+    w_slow, w_fast, d = weak_rates_at_one(gamma, tau)
+    # |w_fast| is about 1/tau, and the roots of eps z^2 - z - w need 4 eps w
+    if not (math.isfinite(abs(w_fast)) and math.isfinite(4.0 * eps * abs(w_fast))):
+        raise PreconditionError(f"at tau={tau:.6g}, eps={eps:.6g} the fast roots are not floats")
+    if abs(d) <= 1e-12:
         classification = "boundary"
-    elif disc_w > 0:
+    elif d > 0:
         classification = "node"
     else:
         classification = "focus"
 
-    sq = cmath.sqrt(complex(disc_w, 0.0))
-    ws = [(1.0 / tau + sq) / 2.0, (1.0 / tau - sq) / 2.0]
-
     roots: list[Root] = []
-    for w in ws:
-        if eps == 0.0:
-            z = -w  # the quadratic in z degenerates; one branch escapes to infinity
-            roots.append(_as_root(z))
+    for w in (w_fast, w_slow):
+        if eps == 0.0:  # the quadratic in z degenerates; one branch escapes to infinity
+            roots.append(_as_root(-w))
         else:
             s = cmath.sqrt(1.0 + 4.0 * eps * w)
-            for z in ((1.0 + s) / (2.0 * eps), (1.0 - s) / (2.0 * eps)):
-                roots.append(_as_root(z))
+            roots += [_as_root((1.0 + s) / (2.0 * eps)), _as_root(-2.0 * w / (1.0 + s))]
 
     merged = _merge_conjugate_noise(roots)
     return RootReport(roots=merged, classification=classification)

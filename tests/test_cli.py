@@ -535,3 +535,49 @@ def test_a_rebound_command_function_is_the_one_that_runs(tmp_path, monkeypatch):
     assert run(tmp_path, "roots", "--gamma", "9", "--tau", "3") == 0
     assert ran == [9.0]
     assert not (tmp_path / "roots.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "heteroclinic --gamma 3 --tau 1e-170",
+    "weak-profile --gamma 3 --tau 1e-170 --eps 0.01",
+    "roots --kernel weak --gamma 1 --tau 1e-300 --c 2",
+])
+def test_weak_kernel_delay_whose_square_underflows_ends_without_a_crash(tmp_path, capsys, argv):
+    # tau^2 is 0.0 here: the rates at (1, 1) come from a form without 1/tau^2
+    assert run(tmp_path, *argv.split()) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    ("check-asymptotics --model kpp --kernel discrete --tau 1e300 --c 2", 3, "MomentError"),
+    ("iterate --model kpp --kernel discrete --tau 1e300 --c 1e10", 2, "PreconditionError"),
+])
+def test_point_mass_past_the_float_range_is_a_typed_error(tmp_path, argv, code, error):
+    # c*tau = 2e300 overflows the moment (c*tau)^3; c*tau = 1e310 is not a float
+    command = argv.split()[0]
+    assert run(tmp_path, *argv.split()) == code
+    assert _manifest(tmp_path, command)["error"] == error
+
+
+def test_kernel_mass_far_left_of_every_window_exits_3(tmp_path, capsys):
+    # all of N_c lies on [-20050, -20000], beyond the look-back windows of the bound
+    x = np.linspace(0.0, 1.0, 51)
+    table = tmp_path / "far.json"
+    table.write_text(json.dumps({"s": list(-20050.0 + 50.0 * x), "density": list(x * (1.0 - x))}))
+    assert run(tmp_path / "out", "iterate", "--model", "kpp", "--c", "2.5",
+               "--kernel", f"table:{table}") == 3
+    assert "finite window" in capsys.readouterr().err
+    assert _manifest(tmp_path / "out", "iterate")["error"] == "MomentError"
+
+
+@pytest.mark.parametrize("argv", [
+    "roots --kernel weak --gamma 1 --tau 1e-320 --c 2",
+    "roots --kernel weak --gamma 1 --tau 1 --c 1e-154",
+    "roots --kernel weak --gamma 1 --tau 1e-300 --c 1e-150",
+])
+def test_weak_quartic_whose_fast_roots_are_not_floats_exits_2(tmp_path, argv):
+    # the fast rate is about 1/tau and the fast roots about sqrt(w/eps), eps = c^-2:
+    # past the float range they would be written as NaN
+    assert run(tmp_path, *argv.split()) == 2
+    assert _manifest(tmp_path, "roots")["error"] == "PreconditionError"
+    assert not (tmp_path / "roots.json").exists()

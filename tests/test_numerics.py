@@ -620,3 +620,17 @@ def test_cubic_roots_single_real():
 def test_cubic_degenerates_to_quadratic_and_linear():
     assert np.allclose(cubic_real_roots(0.0, 1.0, -3.0, 2.0), [1.0, 2.0])
     assert np.allclose(cubic_real_roots(0.0, 0.0, 2.0, -4.0), [2.0])
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.1, 0.01])
+def test_lower_edge_bisects_below_the_last_point_that_held(x0):
+    # after k halvings the edge lies in [hi/2^(k+1), hi/2^k]: a bracket of
+    # width 2^-(k+1), so eight bisections reach tol = 1e-3 whatever k is
+    calls = []
+
+    def pred(t):
+        calls.append(t)
+        return t > x0
+
+    assert abs(lower_edge(pred, 1.0, 1e-3) - x0) <= 5e-4
+    assert len(calls) == 10

@@ -397,3 +397,15 @@ def test_finite_speed_continuation_toward_planar_limit():
         d = r.profile.sup_distance(base.profile)
         assert d < d_prev
         d_prev = d
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.5, 7.3, 40.0])
+@pytest.mark.parametrize("share", [0.01, 0.5, 0.99, 1.0, 1.01, 4.0, 100.0])
+def test_contraction_matrix_solves_the_lyapunov_equation(gamma, share):
+    # tau = share * (1+gamma)/4 runs through the node range, the node-focus
+    # edge and the focus range
+    tau = share * (1.0 + gamma) / 4.0
+    j = flow_field(gamma, tau).linearization_at_one()
+    p = pf._contraction_matrix(gamma, tau)
+    assert np.allclose(j.T @ p + p @ j, -np.eye(2), rtol=0.0, atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(p) > 0)

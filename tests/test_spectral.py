@@ -346,3 +346,32 @@ def test_real_root_boundary_values():
 def test_real_root_boundary_guard():
     with pytest.raises(PreconditionError):
         real_root_boundary(-1.0)
+
+
+@pytest.mark.parametrize("gamma, tau", [(9.0, 1.0), (40.0, 10.0)])
+def test_weak_quartic_slow_roots_at_high_speed_match_50_digits(gamma, tau):
+    # eps = 1e-12 is c = 1e6: the small roots of eps z^2 - z - w = 0 sit
+    # beside w, and (1 - sqrt(1 + 4 eps w))/(2 eps) would lose 12 digits
+    eps = 1e-12
+    rep = weak_char_roots(gamma, tau, eps)
+    assert rep.classification == "node"
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g, t, e = Decimal(gamma), Decimal(tau), Decimal(eps)
+        root = (1 - 4 * t / (1 + g)).sqrt()
+        exact = sorted(float((1 - (1 + 4 * e * w).sqrt()) / (2 * e))
+                       for w in ((1 - root) / (2 * t), (1 + root) / (2 * t)))
+    slow = sorted(r.re for r in rep.real_negative_roots())
+    assert slow == [pytest.approx(z, rel=1e-12) for z in exact]
+
+
+@pytest.mark.parametrize("gamma, tau", [(7.3, 1.9), (3.0, 1e-170), (1.0, 1e-300), (40.0, 11.0)])
+def test_weak_rates_at_one_solve_the_quadratic_without_overflow(gamma, tau):
+    w_slow, w_fast, d = spectral.weak_rates_at_one(gamma, tau)
+    assert d == 1.0 - 4.0 * tau / (1.0 + gamma)
+    assert w_slow.real > 0 and math.isfinite(w_fast.real)
+    # Vieta, each side scaled to be of order one
+    assert w_slow * w_fast * tau * (1.0 + gamma) == pytest.approx(1.0, rel=1e-14)
+    assert (w_slow + w_fast) * tau == pytest.approx(1.0, rel=1e-14)
+    assert (w_slow.imag == w_fast.imag == 0.0) if d > 0 else (
+        w_slow == pytest.approx(w_fast.conjugate(), rel=1e-14))
