@@ -45,7 +45,7 @@ __all__ = [
     "cubic_real_roots",
 ]
 
-_EVENT_TIME_TOL = 1e-12  # absolute bisection tolerance for event times
+_EVENT_TIME_TOL = 1e-12  # bisection tolerance for event times, relative to max(1, |t|)
 _MAX_STEPS = 1_000_000  # step attempts of one integration before it counts as divergent
 MAX_GRID_NODES = 10_000_000  # nodes of one Grid or points of a CLI range: 80 MB per array
 
@@ -135,36 +135,25 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def _segment(self, t: float) -> int:
-        i = int(np.searchsorted(self.ts, t, side="right") - 1)
-        return min(max(i, 0), len(self.ts) - 2)
-
     def __call__(self, t: float) -> np.ndarray:
-        if t <= self.ts[0]:
-            return self.ys[0].copy()
-        if t >= self.ts[-1]:
-            return self.ys[-1].copy()
-        i = self._segment(t)
-        if t == self.ts[i]:
-            return self.ys[i].copy()
-        return _hermite(t, self.ts[i], self.ts[i + 1], self.ys[i], self.ys[i + 1],
-                        self.fs[i], self.fs[i + 1])
+        return Trajectory.sample(self, (t,))[0]
 
     def derivative(self, t: float) -> np.ndarray:
         t = min(max(t, self.ts[0]), self.ts[-1])
-        i = self._segment(t)
+        i = int(np.searchsorted(self.ts, t, side="right") - 1)
+        i = min(max(i, 0), len(self.ts) - 2)
         return _hermite_lag(t, self.ts[i], self.ts[i + 1], self.ys[i], self.ys[i + 1],
                             self.fs[i], self.fs[i + 1]).slope
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
-        """`__call__` at every point of ts, as one array operation with the
-        same float operations, so each row equals the scalar read bitwise."""
+        """y at every point of ts, as one array operation: the state at a
+        node or outside [t0, t_end], else the Hermite cell around the point."""
         t = np.asarray(ts, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         t0, t1 = self.ts[i], self.ts[i + 1]
         out = _hermite(t[:, None], t0[:, None], t1[:, None], self.ys[i], self.ys[i + 1],
                        self.fs[i], self.fs[i + 1])
-        # __call__'s overrides, lowest precedence first
+        # node states override the cell, lowest precedence first
         on_node = t == t0
         out[on_node] = self.ys[i[on_node]]
         out[t >= self.ts[-1]] = self.ys[-1]
@@ -267,22 +256,6 @@ def _dp_step(field, t, y, f, h, tol):
     return y_new, k7, err, sc
 
 
-def _refine_event(gauge, traj_eval, lo, hi, glo, ghi):
-    """Bisect a sign change of gauge(t, y(t)) down to _EVENT_TIME_TOL."""
-    for _ in range(200):
-        if hi - lo <= _EVENT_TIME_TOL * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = gauge(mid, traj_eval(mid))
-        if gm == 0.0:
-            return mid
-        if (glo < 0) != (gm < 0):
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
-
-
 def _checked_gauge(gauge: Gauge) -> Gauge:
     def checked(t, y):
         try:
@@ -347,8 +320,11 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
                 zero_run[i] = t_new if z is None else z
             else:  # a sign change across a run of zeros is one zero, at its first node
                 if g0 != 0.0 and (g0 < 0) != (g1 < 0):
-                    times[i].append(_refine_event(g, seg_eval, t, t_new, g0, g1)
-                                    if z is None else z)
+                    # the Hermite cell reads the node states bitwise at its ends,
+                    # so find_root sees g0 and g1 there again
+                    times[i].append(z if z is not None else find_root(
+                        lambda s: g(s, seg_eval(s)), (t, t_new),
+                        _EVENT_TIME_TOL * max(1.0, abs(t_new))))
                 g_last[i], zero_run[i] = g1, None
         if stop is not None and times[-1]:
             # truncate the run at the stop time: at a node, or inside the last step

@@ -27,6 +27,7 @@ from .errors import (
     NoWindowError,
     PreconditionError,
     StiffShootingError,
+    UnsupportedError,
 )
 from .numerics import cubic_real_roots, integrate_ode, lower_edge, maximize_scalar
 from .profiles import EPS_MAX, OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
@@ -52,6 +53,12 @@ __all__ = [
 ]
 
 _N_SAMPLES = 4000  # uniform samples of a connection's profile
+# w_fast/w_slow at (1, 1) past which a planar connection is refused: the
+# explicit stepper needs about 4.5 steps per unit of the ratio to capture, so
+# from about 2.2e5 on it spends its 10^6 step budget (exit 3 after ~15 s).
+# The slow-manifold field of finite_speed_profile caps its fast rate near
+# 1/eps, so only the eps = 0 connection is refused.
+_MAX_STIFFNESS = 4e5
 
 
 @dataclass(frozen=True)
@@ -217,9 +224,16 @@ def heteroclinic(gamma: float, tau: float, start_amplitude: float = 1e-6,
     """The unique connection from (0, 0) to (1, 1) of the planar kinetics.
 
     Launched along the one-dimensional unstable tangent of the origin; the
-    launch error is O(start_amplitude^2).
+    launch error is O(start_amplitude^2).  A node whose fast rate at (1, 1)
+    exceeds _MAX_STIFFNESS times its slow one is refused before stepping.
     """
     field = flow_field(gamma, tau)
+    w_slow, w_fast, _ = weak_rates_at_one(gamma, tau)
+    if abs(w_fast) > _MAX_STIFFNESS * abs(w_slow):
+        raise UnsupportedError(
+            f"stiffness ratio w_fast/w_slow at (1, 1) exceeds {_MAX_STIFFNESS:.0e} "
+            f"(w_fast = {abs(w_fast):.3g}, w_slow = {abs(w_slow):.3g}): "
+            f"too stiff for the explicit stepper")
     try:
         return _run_connection(field.rhs, gamma, tau, start_amplitude, tol)
     except DivergenceError as exc:  # globally stable: should not happen

@@ -66,7 +66,7 @@ def format_rows(template: str, table, sep: str = "") -> str:
 # ---- exact vectorised "%.17g": x = n * 10**(k-16) with n a 17-digit integer
 
 _FAST_RANGE = (1e-270, 1e270)  # 10**(16-k) and Dekker's split stay normal and finite
-_UNDECIDED = 2.0 ** -40  # the product errs by under 1e-14: closer to .5 or .0 goes to %
+_UNDECIDED = 2.0 ** -40  # the product errs by under 1e-14: closer to .5 goes to %
 _E16 = 10 ** 16
 _CSV_BLOCK_VALUES = 4096  # values per formatter block: its temporaries take ~250 bytes each
 _MIN_FAST_VALUES = 384  # below it, %-formatting a block beats the formatter's fixed cost
@@ -129,7 +129,9 @@ def _split(a):
 def _scaled(a, k):
     """floor, round-half-even and decidedness of a * 10**(16-k): the product
     a * hi + a * lo in double-double arithmetic, exact in its integer part
-    (at least 2**53 whenever the product lies in [10**16, 10**17))."""
+    (at least 2**53 whenever the product lies in [10**16, 10**17)).  Within
+    1e-14 of an integer the floor may be one low, but the rounding is that
+    integer either way, so only a near-tie is undecided."""
     j = 16 - k
     j0 = int(j.min())
     his, los = np.array([_pow10(i) for i in range(j0, int(j.max()) + 1)]).T
@@ -141,8 +143,7 @@ def _scaled(a, k):
     fl = np.floor(r)
     frac = r - fl
     whole = p.astype(np.int64) + fl.astype(np.int64)
-    d = np.abs(frac - 0.5)
-    return whole, whole + (frac > 0.5), (d > _UNDECIDED) & (d < 0.5 - _UNDECIDED)
+    return whole, whole + (frac > 0.5), np.abs(frac - 0.5) > _UNDECIDED
 
 
 def _fields(x: np.ndarray) -> np.ndarray:

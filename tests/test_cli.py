@@ -379,6 +379,27 @@ def test_front_past_the_work_budget_exits_2_at_once(tmp_path, capsys, argv):
     assert "budget" in err and "c=" in err and "n=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "heteroclinic --gamma 1e300 --tau 75050",
+    "heteroclinic --gamma 1e308 --tau 1",
+    "heteroclinic --gamma 7970 --tau 1.37e-8",
+    "heteroclinic --gamma 3.46e7 --tau 0.0845",
+])
+def test_stiff_planar_connection_exits_2_at_once(tmp_path, capsys, argv):
+    # w_fast/w_slow at (1, 1) is 4e8 and more: the stepper would spend its
+    # whole step budget before exiting 3
+    t0 = time.perf_counter()
+    assert run(tmp_path, *argv.split()) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "stiffness ratio" in capsys.readouterr().err
+    assert _manifest(tmp_path, "heteroclinic")["error"] == "UnsupportedError"
+
+
+def test_mildly_stiff_planar_connection_still_runs(tmp_path):
+    assert run(tmp_path, "heteroclinic", "--gamma", "10", "--tau", "1e-2") == 0
+    assert _manifest(tmp_path, "heteroclinic")["error"] is None
+
+
 @pytest.mark.parametrize("tau, code, says", [("12", 0, "converged="), ("16", 2, "z1*h"),
                                              ("1e300", 3, "moment")])
 def test_iterate_with_a_long_discrete_delay_ends_without_nan(tmp_path, capsys, tau, code, says):

@@ -114,6 +114,19 @@ def test_level_crossing_event_on_logistic():
     assert half[0] == pytest.approx(math.log(99.0), abs=1e-7)
 
 
+@pytest.mark.parametrize("center", [1e3, -1e3, 1000.3])
+def test_event_time_far_from_zero_keeps_the_relative_tolerance(center):
+    # the logistic shifted to cross 1/2 at t = center: the event time is refined
+    # to within _EVENT_TIME_TOL * |t|, which at |t| ~ 1e3 is far above one ulp
+    y0 = 1.0 / (1.0 + math.exp(12.0))
+    _, (half,) = integrate_ode(
+        lambda t, y: [y[0] * (1.0 - y[0])], [y0], (center - 12.0, center + 12.0),
+        tol=1e-12, events=[lambda t, y: y[0] - 0.5],
+    )
+    assert len(half) == 1
+    assert abs(half[0] - center) <= numerics._EVENT_TIME_TOL * abs(center)
+
+
 def test_event_times_are_reproducible_bitwise():
     times = []
     for _ in range(2):

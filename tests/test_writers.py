@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from kolwave import profiles
 from kolwave.cli import _m4, _svg_map, main, write_svg
 from kolwave.numerics import Grid
 from kolwave.profiles import Profile, RegionCurve, fmt_float, write_csv
@@ -113,6 +114,25 @@ def test_profile_and_region_csv_match_per_value_join(tmp_path):
     curve = RegionCurve(gamma=gamma, columns={"lo": np.array(AWKWARD), "hi": gamma ** 2})
     curve.to_csv(tmp_path / "r.csv")
     assert (tmp_path / "r.csv").read_text() == _csv_oracle(curve.header(), curve.rows())
+
+
+def test_write_csv_decides_dyadic_grids_and_short_decimals_without_fallback(tmp_path,
+                                                                          monkeypatch):
+    # a time column at dt = 3/64, short decimals m * 10**e and integers: the
+    # exact ones scale to an integer, which rounds the same from either side of
+    # it, so none goes to the per-value fmt_float loop (zero does, and so does a
+    # product at 10**16 whose floor lands one below, as 1e20's)
+    fallbacks = []
+    monkeypatch.setattr(profiles, "fmt_float",
+                        lambda v: fallbacks.append(v) or fmt_float(v))
+    grid = 3.0 / 64.0 * np.arange(1, 3521)
+    short = np.array([float(f"{m}e{e}") for m in range(1, 1000) for e in range(-12, 16)])
+    rows = np.concatenate([grid, -grid, short, -short, np.arange(1.0, 2e4)])
+    rows = rows[:len(rows) // 2 * 2].reshape(-1, 2)
+    write_csv(tmp_path / "d.csv", ("t", "phi"), rows)
+    expected = "".join("%.17g,%.17g\n" % tuple(row) for row in rows.tolist())
+    assert (tmp_path / "d.csv").read_text() == "t,phi\n" + expected
+    assert fallbacks == []
 
 
 def _hard_floats() -> np.ndarray:
