@@ -64,8 +64,8 @@ def _shoot(gamma: float, tau: float, eps: float, span_length: float,
     growth rate of the kinetics linearised at 0 (1 at eps = 0)."""
     if not 0.0 <= eps <= EPS_MAX:
         raise PreconditionError(f"eps must lie in [0, {EPS_MAX}]")
-    if gamma < 0 or not tau > 0:
-        raise PreconditionError("need gamma >= 0 and tau > 0")
+    if not (0 <= gamma < math.inf and 0 < tau < math.inf):
+        raise PreconditionError("need finite gamma >= 0 and tau > 0")
     if not span_length > 0:
         raise PreconditionError(f"span must be positive, got {span_length}")
     growth = GrowthModel.food_limited(gamma)
@@ -169,10 +169,12 @@ def overshoot_bound(gamma: float, tau: float) -> float:
     one on each side of the local minimum of Q.  The maximum is taken at
     a = 1 or at the smaller positive root, found by bisection in log x (at
     large tau it lies far below 1e-300).  The maximand is evaluated in log
-    space and in x, where a may underflow.  A gamma that is not positive or
-    whose 1/gamma overflows is rejected, and so is a tau whose e^tau
-    overflows.
+    space and in x, where a may underflow.  A gamma that is not finite and
+    positive or whose 1/gamma overflows is rejected, and so is a tau whose
+    e^tau overflows.
     """
+    if not math.isfinite(gamma):
+        raise PreconditionError(f"overshoot bound needs a finite gamma, got {gamma!r}")
     if not gamma > 0 or 1.0 / gamma == math.inf:
         raise UnsupportedError(f"overshoot bound needs gamma > 0 with a finite 1/gamma, "
                                f"got {gamma!r}")

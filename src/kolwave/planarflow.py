@@ -84,8 +84,8 @@ class FlowField:
 
 
 def flow_field(gamma: float, tau: float) -> FlowField:
-    if gamma < 0 or not tau > 0:
-        raise PreconditionError("need gamma >= 0 and tau > 0")
+    if not (0 <= gamma < math.inf and 0 < tau < math.inf):
+        raise PreconditionError("need finite gamma >= 0 and tau > 0")
     return FlowField(gamma=float(gamma), tau=float(tau))
 
 
@@ -371,8 +371,8 @@ def tau_star(gamma: float) -> float:
     """Lower edge of the delay window of the cubic-arc certificate: the minimum
     of T(a) over 4/(5+gamma) < a < 1/2 (at both ends T(a) >= (1+gamma)/4, the
     window's top), searched in log a, as the minimiser nears 4.5/gamma."""
-    if not gamma > 1:
-        raise PreconditionError("need gamma > 1")
+    if not 1 < gamma < math.inf:
+        raise PreconditionError("need finite gamma > 1")
     gamma, lo_a, star = float(gamma), 4.0 / (5.0 + gamma), math.inf
     if lo_a < 0.5:
         star = -maximize_scalar(lambda s: -_certified_above(gamma, math.exp(s)),
@@ -386,8 +386,8 @@ def tau_sharp(gamma: float, tol: float = 0.05) -> float:
     """Exact onset delay of the overshooting connection, by bisection on the
     overshoot predicate (the profile maximum grows with tau).  Returns the
     upper edge (1+gamma)/4 when no delay in the node range overshoots."""
-    if not gamma > 1:
-        raise PreconditionError("need gamma > 1")
+    if not 1 < gamma < math.inf:
+        raise PreconditionError("need finite gamma > 1")
     hi = (1.0 + gamma) / 4.0
 
     def overshoots(tau: float) -> bool:

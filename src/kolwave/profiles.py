@@ -44,7 +44,7 @@ OSCILLATING = "oscillating"
 
 OVERSHOOT_EPS = 1e-6  # relative excursion above 1 that counts as genuine
 EPS_MAX = 0.2  # largest eps = 1/c^2 of a finite-speed profile
-_FIT_DECADES = 2.0  # decades a right-tail decay fit must span
+_FIT_DECADES = 2.0  # decades a tail decay fit must span
 
 
 def fmt_float(x: float) -> str:
@@ -303,20 +303,6 @@ def fit_decay(ts, dist, lo: float, hi: float):
     return slope, span >= _FIT_DECADES
 
 
-def _growth_fit(ts, values, amplitude: float):
-    """Decay rate toward 0 at the left end, fitted on the rising stretch."""
-    v = np.asarray(values)
-    sel = (v > 5.0 * amplitude) & (v < 5e-3)
-    if np.count_nonzero(sel) < 8:
-        return None
-    t = np.asarray(ts)[sel]
-    y = np.log(v[sel])
-    span = math.log10(v[sel].max() / v[sel].min())
-    if span < 1.5:
-        return None
-    return float(np.polyfit(t, y, 1)[0])
-
-
 @dataclass
 class Profile:
     """A travelling-wave (or limit-kinetics) profile on a uniform grid."""
@@ -401,18 +387,19 @@ class RegionCurve:
 def build_profile(ts: np.ndarray, values: np.ndarray, *, crossings, flags,
                   amplitude: float, plus_window: tuple[float, float],
                   h=None) -> Profile:
-    """Assemble a Profile from uniform samples, fitting both decay exponents.
-
-    `amplitude` is the launch size used for the left-tail fit window;
-    `plus_window` the (lo, hi) distance band for the right-tail fit of
-    |values - 1|.
+    """Assemble a Profile from uniform samples, fitting both decay exponents
+    by fit_decay: |values - 1| in the band `plus_window`, and the left tail
+    read backwards in time, which decays toward 0 through
+    (5 * amplitude, 5e-3), `amplitude` the launch size; decay_minus is
+    minus its slope.  A fit that fails leaves its exponent None.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     dt = float(ts[1] - ts[0])
     grid = Grid(float(ts[0]), dt, len(ts))
 
-    decay_minus = _growth_fit(ts, values, amplitude)
+    slope, ok = fit_decay(-ts[::-1], values[::-1], 5.0 * amplitude, 5e-3)
+    decay_minus = -slope if ok else None
     slope, ok = fit_decay(ts, np.abs(values - 1.0), *plus_window)
     decay_plus = slope if ok else None
 

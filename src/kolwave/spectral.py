@@ -174,9 +174,14 @@ def weak_rates_at_one(gamma: float, tau: float) -> tuple[complex, complex, float
     """The roots w of tau w^2 - w + 1/(1+gamma) = 0, whose negatives are the
     eigenvalues of the weak-kernel planar kinetics at (1, 1), as
     (w_slow, w_fast, d) with d = 1 - 4 tau/(1+gamma): a node for d > 0, a
-    focus (a conjugate pair) for d < 0.  Written so that neither 1/tau^2 is
-    formed nor near-equal terms are subtracted."""
+    focus (a conjugate pair) for d < 0.  The one place that decides the
+    class: |d| <= 1e-12 is the boundary, d = 0.0 with both rates the double
+    root 2/(1+gamma).  Written so that neither 1/tau^2 is formed nor
+    near-equal terms are subtracted."""
     d = 1.0 - 4.0 * tau / (1.0 + gamma)
+    if abs(d) <= 1e-12:
+        w = complex(2.0 / (1.0 + gamma))
+        return w, w, 0.0
     root = 1.0 + cmath.sqrt(d)
     return 2.0 / (1.0 + gamma) / root, root / (2.0 * tau), d
 
@@ -188,11 +193,12 @@ def weak_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     Solved exactly through the intermediate quadratic in w = eps z^2 - z
     (`weak_rates_at_one`), then eps z^2 - z - w = 0 for each w, its small
     root taken as -2w/(1 + sqrt(1 + 4 eps w)) so that nothing cancels.
-    Classification: 'node' for two simple real roots with negative part
-    (tau < (1+gamma)/4), 'focus' past that delay, 'boundary' on the curve.
+    Classification by the sign of its d: 'node' for two simple real roots
+    with negative part (tau < (1+gamma)/4), 'focus' past that delay,
+    'boundary' (every root double) on the curve.  For d >= 0 all are real.
     """
-    if not (gamma > 0 and tau > 0):
-        raise PreconditionError("gamma and tau must be positive")
+    if not (0 < gamma < math.inf and 0 < tau < math.inf):
+        raise PreconditionError("gamma and tau must be positive and finite")
     if eps < 0:
         raise PreconditionError("eps must be non-negative")
 
@@ -200,42 +206,20 @@ def weak_char_roots(gamma: float, tau: float, eps: float) -> RootReport:
     # |w_fast| is about 1/tau, and the roots of eps z^2 - z - w need 4 eps w
     if not (math.isfinite(abs(w_fast)) and math.isfinite(4.0 * eps * abs(w_fast))):
         raise PreconditionError(f"at tau={tau:.6g}, eps={eps:.6g} the fast roots are not floats")
-    if abs(d) <= 1e-12:
-        classification = "boundary"
-    elif d > 0:
-        classification = "node"
+    if d == 0.0:
+        classification, rates, mult = "boundary", (w_slow,), 2
     else:
-        classification = "focus"
+        classification, rates, mult = ("node" if d > 0 else "focus"), (w_fast, w_slow), 1
 
     roots: list[Root] = []
-    for w in (w_fast, w_slow):
+    for w in rates:
         if eps == 0.0:  # the quadratic in z degenerates; one branch escapes to infinity
-            roots.append(_as_root(-w))
+            zs = [-w]
         else:
             s = cmath.sqrt(1.0 + 4.0 * eps * w)
-            roots += [_as_root((1.0 + s) / (2.0 * eps)), _as_root(-2.0 * w / (1.0 + s))]
-
-    merged = _merge_conjugate_noise(roots)
-    return RootReport(roots=merged, classification=classification)
-
-
-def _as_root(z: complex) -> Root:
-    im = z.imag if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)) else 0.0
-    return Root(re=z.real, im=im)
-
-
-def _merge_conjugate_noise(roots: list[Root]) -> list[Root]:
-    """Collapse numerically identical roots into multiplicities."""
-    out: list[Root] = []
-    for r in roots:
-        for i, o in enumerate(out):
-            tol = 1e-12 * max(1.0, abs(r.re), abs(r.im))
-            if abs(o.re - r.re) <= tol and abs(o.im - r.im) <= tol:
-                out[i] = Root(o.re, o.im, o.mult + r.mult)
-                break
-        else:
-            out.append(r)
-    return out
+            zs = [(1.0 + s) / (2.0 * eps), -2.0 * w / (1.0 + s)]
+        roots += [Root(z.real, z.imag if d < 0 else 0.0, mult) for z in zs]
+    return RootReport(roots=roots, classification=classification)
 
 
 def delay_char_roots(gamma: float, tau: float, eps: float) -> RootReport:

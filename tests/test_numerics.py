@@ -647,3 +647,30 @@ def test_lower_edge_bisects_below_the_last_point_that_held(x0):
 
     assert abs(lower_edge(pred, 1.0, 1e-3) - x0) <= 5e-4
     assert len(calls) == 10
+
+
+def test_trajectory_derivative_is_the_field_at_nodes_and_the_hermite_slope_between():
+    def field(t, y):
+        return np.array([y[1], -y[0] - 0.3 * y[1] + 0.5 * math.sin(t)])
+
+    traj, _ = integrate_ode(field, [1.0, 0.0], (0.0, 20.0), tol=1e-9)
+    for t, f in zip(traj.ts, traj.fs):
+        assert np.array_equal(traj.derivative(t), f)
+    # the dense output is one cubic per cell, so a short central difference of
+    # sample() inside a cell reads its slope
+    for t0, t1 in zip(traj.ts[:-1], traj.ts[1:]):
+        for t in (t0 + 0.25 * (t1 - t0), 0.5 * (t0 + t1), t0 + 0.75 * (t1 - t0)):
+            step = 1e-4 * (t1 - t0)
+            ahead, behind = traj.sample([t + step, t - step])
+            assert traj.derivative(t) == pytest.approx((ahead - behind) / (2 * step),
+                                                      rel=1e-7, abs=1e-7)
+
+
+def test_dde_derivative_reads_the_history_slope_at_and_before_the_start():
+    history = lambda t: np.array([math.cos(t)])
+    history_deriv = lambda t: np.array([-math.sin(t)])
+    traj, _ = integrate_dde(lambda t, y, lag: [-lag.value[0]], math.pi / 2, history,
+                            (0.0, 2 * math.pi), tol=1e-9, history_deriv=history_deriv)
+    for t in (0.0, -1e-12, -0.7, -math.pi / 2, -5.0):
+        assert np.array_equal(traj.derivative(t), history_deriv(t))
+    assert traj.derivative(1.0)[0] == pytest.approx(-math.sin(1.0), abs=1e-4)

@@ -11,6 +11,7 @@ from kolwave.errors import (
     PreconditionError,
 )
 from kolwave.numerics import integrate_ode
+from kolwave import discretedelay, spectral
 from kolwave import planarflow as pf
 from kolwave.planarflow import (
     admissible_interval,
@@ -409,3 +410,25 @@ def test_contraction_matrix_solves_the_lyapunov_equation(gamma, share):
     p = pf._contraction_matrix(gamma, tau)
     assert np.allclose(j.T @ p + p @ j, -np.eye(2), rtol=0.0, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(p) > 0)
+
+
+# the CLI refuses non-finite numbers as it parses them; API callers get the same error
+@pytest.mark.parametrize("call", [
+    lambda: heteroclinic(2.0, math.inf),
+    lambda: finite_speed_profile(2.0, math.inf, 0.01),
+    lambda: eigen_directions(2.0, math.inf),
+    lambda: eigen_directions(math.inf, 1.0),
+    lambda: flow_field(math.nan, 1.0),
+    lambda: tau_sharp(math.inf),
+    lambda: tau_star(math.inf),
+    lambda: discretedelay.overshoot_bound(math.inf, 1.0),
+    lambda: discretedelay.limit_profile(9.0, math.inf),
+    lambda: discretedelay.limit_profile(math.inf, 1.0),
+    lambda: discretedelay.finite_speed_profile(9.0, math.inf, 0.01),
+    lambda: spectral.weak_char_roots(math.inf, 1.0, 0.0),
+], ids=["heteroclinic-tau", "finite-speed-tau", "eigen-tau", "eigen-gamma", "field-nan",
+        "tau-sharp", "tau-star", "overshoot-gamma", "limit-tau", "limit-gamma",
+        "delay-finite-speed-tau", "weak-roots-gamma"])
+def test_entry_points_refuse_non_finite_gamma_and_tau(call):
+    with pytest.raises(PreconditionError):
+        call()

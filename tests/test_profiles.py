@@ -1,5 +1,6 @@
 """fit_decay's one-pass search for the monotone tail stretch gives what the
-backward walk it replaced gives, bit for bit."""
+backward walk it replaced gives, bit for bit; read backwards, it fits the
+left tail as the growth fit it replaced did."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from kolwave import profiles
+from kolwave import discretedelay, planarflow, profiles, semiwavefront
 from kolwave.cli import main
+from kolwave.models import GrowthModel, Kernel, WaveParams
 from kolwave.profiles import fit_decay
 
 
@@ -100,3 +102,45 @@ def test_fit_decay_equals_the_backward_walk_on_real_profiles(tmp_path, monkeypat
     assert calls
     for ts, dist, lo, hi in calls:
         _assert_same_fit(ts, dist, lo, hi)
+
+
+def _growth_fit(ts, values, amplitude: float):
+    """The left-tail fit build_profile used before both tails shared
+    fit_decay: the slope of log(values) over every sample in
+    (5 * amplitude, 5e-3), with at least 8 samples over 1.5 decades."""
+    v = np.asarray(values)
+    sel = (v > 5.0 * amplitude) & (v < 5e-3)
+    if np.count_nonzero(sel) < 8:
+        return None
+    t = np.asarray(ts)[sel]
+    y = np.log(v[sel])
+    span = math.log10(v[sel].max() / v[sel].min())
+    if span < 1.5:
+        return None
+    return float(np.polyfit(t, y, 1)[0])
+
+
+def _acceptance_front():
+    params = WaveParams(GrowthModel.food_limited(2.0), Kernel.dirac(), 2.5)
+    config = semiwavefront.default_config(params, dt=0.02, tol=1e-9)
+    return semiwavefront.iterate_front(config, params).profile
+
+
+@pytest.mark.parametrize("module, make", [
+    (discretedelay, lambda: discretedelay.limit_profile(9.0, 3.0)),
+    (planarflow, lambda: planarflow.heteroclinic(40.0, 10.0).profile),
+    (semiwavefront, _acceptance_front),
+], ids=["limit-9-3", "heteroclinic-40-10", "food-2-dirac-2.5"])
+def test_left_decay_fit_equals_the_growth_fit_it_replaced(monkeypatch, module, make):
+    calls = []
+
+    def recording(ts, values, **kwargs):
+        calls.append((np.array(ts), np.array(values), kwargs["amplitude"]))
+        return profiles.build_profile(ts, values, **kwargs)
+
+    monkeypatch.setattr(module, "build_profile", recording)
+    profile = make()
+    (ts, values, amplitude), = calls
+    want = _growth_fit(ts, values, amplitude)
+    assert want is not None and profile.decay_minus is not None
+    assert profile.decay_minus == pytest.approx(want, rel=1e-13, abs=0)

@@ -375,3 +375,31 @@ def test_weak_rates_at_one_solve_the_quadratic_without_overflow(gamma, tau):
     assert (w_slow + w_fast) * tau == pytest.approx(1.0, rel=1e-14)
     assert (w_slow.imag == w_fast.imag == 0.0) if d > 0 else (
         w_slow == pytest.approx(w_fast.conjugate(), rel=1e-14))
+
+
+@pytest.mark.parametrize("tau", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_weak_quartic_boundary_band_is_one_double_root_per_w(tau, eps):
+    # at gamma = 3 the node-focus edge is tau = 1; within |d| <= 1e-12 of it
+    # the class, the roots and the planar flow all read the boundary
+    from kolwave.planarflow import eigen_directions
+
+    w_slow, w_fast, d = spectral.weak_rates_at_one(3.0, tau)
+    assert d == 0.0 and w_slow == w_fast == 0.5
+    rep = weak_char_roots(3.0, tau, eps)
+    assert rep.classification == "boundary"
+    assert len(rep.roots) == (1 if eps == 0.0 else 2)
+    assert all(r.mult == 2 and r.is_real for r in rep.roots)
+    assert rep.real_negative_count == 2
+    assert not eigen_directions(3.0, tau).focus
+
+
+@pytest.mark.parametrize("gamma, tau, c", [
+    (3.0, 0.5, 10.0), (3.0, 1.0, 10.0), (40.0, 10.0, 1e6), (3.0, 0.5, 1e200), (9.0, 1.0, 1e200),
+])
+def test_weak_quartic_real_roots_carry_positive_zero_imaginary_parts(gamma, tau, c):
+    # c = 1e200 underflows eps to 0, where -w of a real w has imaginary part -0.0
+    rep = weak_char_roots(gamma, tau, c ** -2)
+    reals = [r for r in rep.roots if r.is_real]
+    assert reals
+    assert all(math.copysign(1.0, r.im) == 1.0 for r in reals)
