@@ -54,11 +54,14 @@ __all__ = [
 
 _N_SAMPLES = 4000  # uniform samples of a connection's profile
 # w_fast/w_slow at (1, 1) past which a planar connection is refused: the
-# explicit stepper needs about 4.5 steps per unit of the ratio to capture, so
-# from about 2.2e5 on it spends its 10^6 step budget (exit 3 after ~15 s).
-# The slow-manifold field of finite_speed_profile caps its fast rate near
-# 1/eps, so only the eps = 0 connection is refused.
-_MAX_STIFFNESS = 4e5
+# explicit stepper's step count grows with the ratio, and near 1e5 a capture
+# takes 12-24 s of its 10^6 step budget.  At 1e5, gamma = 1e-4, 0.01, 0.1,
+# 0.5 and 2 all exit 0; from 1.25e5 (gamma = 1e-4), 1.5e5 (0.5) and 2.1e5
+# (10) on, runs spend the whole budget and exit 3 after 15-24 s, while
+# gamma = 1e3 still exits 0 at 2.2e5.  The slow-manifold field of
+# finite_speed_profile caps its fast rate near 1/eps, so only the eps = 0
+# connection is refused.
+_MAX_STIFFNESS = 1e5
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,14 @@ one row (its samples and the two sums carried in from either side) times
 one fixed matrix built once per front, so a sweep is two matrix products
 and a carry recurrence over the chunks.  The Picard loop runs on buffers
 allocated once per front.  N_c * phi runs through the comb of
-effective_kernel: np.correlate for atoms and short combs, a product with
-the comb's rFFT (built once per front) for combs long enough that taps*n
-outweighs the FFT.  A front whose grid nodes times max_iters exceeds a
-fixed work budget is refused before its grid is sampled.
+effective_kernel: np.correlate for atoms and combs of a few taps; for
+longer combs the same "rows times one fixed matrix" form as the Green
+sweep, each row the padded samples one block of 32 outputs reads and the
+matrix the comb's Toeplitz band; and a product with the comb's rFFT for
+combs long enough that the block product's work outweighs the FFT.  The
+matrix, the spectrum and the buffers are built once per front.  A front
+whose grid nodes times max_iters exceeds a fixed work budget is refused
+before its grid is sampled.
 """
 
 from __future__ import annotations
@@ -454,63 +458,130 @@ class _GreenOperator:
         return self.image(np.empty(self.size))
 
 
-# Work ratio taps*n / (nfft*log2(nfft)) above which the comb is applied by
-# FFT: np.correlate costs taps*n multiply-adds, one FFT sweep (rfft,
-# product, irfft) about nfft*log2(nfft).  Timed on a 2-core Xeon with
-# numpy 2.4, the two cost alike at ratios of 5 to 18 (the lower end for a
-# few thousand nodes, the upper for 20k-60k), and the FFT wins 4.7x at
-# 5,918 nodes x 1,574 taps (ratio 87), 15x at 12,849 x 3,969 and 55x at
-# 18,660 x 14,449.  10 sits inside the crossover, where either path costs
-# about the same; 1-2 tap atoms (ratio below 1) always stay direct.
-_FFT_GAIN = 10.0
+# The comb runs on one of three paths (_comb_path).  np.correlate costs
+# taps*n multiply-adds in a plain loop, the block path (taps + k - 1)*n
+# (k = _COMB_BLOCK) in matrix products, which BLAS runs 3-8x faster per
+# multiply-add.  np.correlate keeps pace only on combs of up to 11 taps,
+# where it has a faster loop: timed on a 2-core Xeon with numpy 2.4, it
+# takes 10-14 us for 8-10 taps over 6,000 nodes and 69 us for 12, the
+# block product 10-11 us for either.  _BLOCK_TAPS is that step.
+_COMB_BLOCK = 32  # outputs per row of the block path
+_BLOCK_TAPS = 12  # shortest comb that the block path takes
+_BLOCK_FLOATS = 1 << 17  # most floats in the block path's matrix (1 MiB)
+# Floats of the row chunk that one product takes (128 KiB): over whole
+# table fronts of the bench pool, 2^13 to 2^17 ran alike and 2^11 took
+# twice as long per sweep.
+_ROW_FLOATS = 1 << 14
+# Work ratio (taps + k - 1)*n / (nfft*log2(nfft)) above which the comb is
+# applied by FFT: the block product costs (taps + k - 1)*n multiply-adds,
+# one FFT sweep (rfft, product, irfft) about nfft*log2(nfft).  The two
+# cost alike at ratios of 25-40 (the upper end for a thousand nodes, the
+# lower for 30k-100k): at 6,000 nodes the product takes 26 us for 100 taps
+# (ratio 10), 117 us for 400 (32) and 434 us for 1,600 (99), the FFT
+# 91-143 us for all three.  30 sits inside that crossover.
+_FFT_GAIN = 30.0
 
 
-def _fft_length(taps: int, n: int, size: int) -> int:
-    """Power-of-two FFT length for a comb of `taps` over n nodes padded to
-    `size` samples, or 0 when np.correlate is the cheaper path."""
-    nfft = 1 << (size - 1).bit_length()
-    return nfft if taps * n > _FFT_GAIN * nfft * math.log2(nfft) else 0
+def _fft_length(size: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= size: pocketfft runs such lengths about
+    as fast as powers of two, and they lie far closer to the padded size
+    (10,800 in place of 16,384 for 10,5xx samples)."""
+    best = 1 << max(size - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < size:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _comb_path(taps: int, n: int, size: int) -> tuple[str, int]:
+    """("correlate", 0), ("block", 0) or ("fft", nfft): the path that
+    applies a comb of `taps` over n nodes padded to `size` samples.  Atoms
+    and short combs take np.correlate, long combs the FFT once the block
+    product's work outweighs it _FFT_GAIN-fold, the rest the block product.
+    A comb whose block matrix would pass _BLOCK_FLOATS (over 4,000 taps,
+    only on a grid too short for the FFT rule) stays on np.correlate."""
+    if taps < _BLOCK_TAPS:
+        return "correlate", 0
+    width = taps + _COMB_BLOCK - 1
+    nfft = _fft_length(size)
+    if width * n > _FFT_GAIN * nfft * math.log2(nfft):
+        return "fft", nfft
+    if width * _COMB_BLOCK > _BLOCK_FLOATS:
+        return "correlate", 0
+    return "block", 0
 
 
 def _convolver(kernel: Kernel, c: float, h: float, n: int):
     """phi -> N_c * phi on the grid, through the comb of effective_kernel,
     with phi frozen at phi[0] left of the grid and at phi[-1] right of it.
 
-    The comb is applied by np.correlate, or, when taps*n outweighs the FFT
-    cost _FFT_GAIN-fold, as one product with the comb's rFFT, built once
-    per front: each sweep is one rfft of the padded samples, one product
-    and one irfft.  The padded samples fit in nfft, so the slice read back
-    never wraps."""
+    The comb runs on the path of _comb_path; everything a path needs is
+    built once per front.  np.correlate slides the reversed weights over
+    the padded samples.  The block path cuts the n outputs into blocks of
+    k = _COMB_BLOCK nodes: the k + taps - 1 padded samples that block b
+    reads are row b of a buffer, and the buffer times one (k + taps - 1) x k
+    Toeplitz matrix of the reversed weights gives every block at once, in
+    row chunks of at most _ROW_FLOATS.  The FFT path is one rfft of the
+    padded samples, one product with the comb's rFFT and one irfft; the
+    padded samples fit in nfft, so the slice read back never wraps.  On the
+    block path the returned array is a view of a buffer that the next call
+    overwrites."""
     m0, wts = effective_kernel(kernel, c).convolve_weights(h)
     m = len(wts)
     pad_l = max(0, m0 + m)
     pad_r = max(0, -m0 + 1)
     base = pad_l - m0 - m + 1
     size = pad_l + n + pad_r
-    nfft = _fft_length(m, n, size)
-    padded = np.zeros(nfft or size)
-    if nfft:
+    path, nfft = _comb_path(m, n, size)
+    wrev = wts[::-1]
+    if path == "block":
+        k, width = _COMB_BLOCK, m + _COMB_BLOCK - 1
+        blocks = -(-n // k)
+        # row p, column j: the weight on padded[base + bk + p] of node bk + j
+        band = np.concatenate((np.zeros(k - 1), wrev, np.zeros(k - 1)))
+        matrix = np.lib.stride_tricks.sliding_window_view(band, k)[:, ::-1].copy()
+        padded = np.empty(max(size, base + blocks * k + m - 1))
+        windows = np.lib.stride_tricks.sliding_window_view(padded[base:], width)[::k]
+        step = max(1, _ROW_FLOATS // width)
+        rows = np.empty((min(blocks, step), width))
+        out = np.empty((blocks, k))
+    else:
+        padded = np.zeros(nfft or size)  # the FFT reads zeros past size
+    filled = len(padded) if path == "block" else size
+    if path == "fft":
         spectrum = np.fft.rfft(wts, nfft)
         lo = base + m - 1  # the correlate's valid index k is the convolution's k + m - 1
-    else:
-        wrev = wts[::-1]
 
     def conv(phi: np.ndarray) -> np.ndarray:
         padded[:pad_l] = phi[0]
         padded[pad_l: pad_l + n] = phi
-        padded[pad_l + n: size] = phi[-1]
-        if nfft:
+        padded[pad_l + n: filled] = phi[-1]
+        if path == "correlate":
+            return np.correlate(padded, wrev, mode="valid")[base: base + n]
+        if path == "fft":
             return np.fft.irfft(np.fft.rfft(padded) * spectrum, nfft)[lo: lo + n]
-        return np.correlate(padded, wrev, mode="valid")[base: base + n]
+        for a in range(0, blocks, step):
+            chunk = rows[:min(step, blocks - a)]
+            np.copyto(chunk, windows[a: a + len(chunk)])
+            np.matmul(chunk, matrix, out=out[a: a + len(chunk)])
+        return out.reshape(-1)[:n]
 
     return conv
 
 
 # Largest grid nodes x max_iters one front may sweep: about 5 s at the
-# 1.7e-8 s per node-sweep of the traced fronts-atom bench run, and 20 s at
-# the 6.8e-8 of fronts-weak, where the kernel comb dominates (2-core Xeon,
-# numpy 2.4).  It admits the c = 50 KPP front (106,729 nodes x 1,500
-# sweeps) and refuses c = 500 (1.06M nodes).
+# 1.7e-8 s per node-sweep of the traced fronts-atom bench run, and 11 s at
+# the 3.5e-8 of fronts-weak (median of 8 seeds; 5.1e-8 before the block
+# comb product), where the kernel comb is still the larger part of a sweep
+# (2-core Xeon, numpy 2.4).  It admits the c = 50 KPP front (106,729 nodes
+# x 1,500 sweeps) and refuses c = 500 (1.06M nodes).
 _WORK_BUDGET = 300_000_000
 
 

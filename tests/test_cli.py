@@ -395,6 +395,16 @@ def test_stiff_planar_connection_exits_2_at_once(tmp_path, capsys, argv):
     assert _manifest(tmp_path, "heteroclinic")["error"] == "UnsupportedError"
 
 
+def test_planar_connection_just_past_the_step_budget_exits_2_at_once(tmp_path, capsys):
+    # w_fast/w_slow at (1, 1) is 2.5e5: the stepper spent its whole step
+    # budget (about 18 s) here before exiting 3
+    t0 = time.perf_counter()
+    assert run(tmp_path, "heteroclinic", "--gamma", "10", "--tau", "4.4e-5") == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert "stiffness ratio" in capsys.readouterr().err
+    assert _manifest(tmp_path, "heteroclinic")["error"] == "UnsupportedError"
+
+
 def test_mildly_stiff_planar_connection_still_runs(tmp_path):
     assert run(tmp_path, "heteroclinic", "--gamma", "10", "--tau", "1e-2") == 0
     assert _manifest(tmp_path, "heteroclinic")["error"] is None

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +24,9 @@ from kolwave.semiwavefront import (
     _CHUNK,
     _LOOP_CARRIES,
     _Carries,
+    _COMB_BLOCK,
     _GreenOperator,
+    _comb_path,
     _convolver,
     _fft_length,
     apriori_bound,
@@ -596,21 +600,27 @@ def test_work_budget_refuses_a_fast_front_before_sampling_its_grid(monkeypatch):
 # ------------------------------------------------------- convolution comb
 
 
-def _padded_correlate(kernel, c, h, phi):
+def _padded_correlate(m0, wts, phi):
     """N_c * phi by np.correlate over phi padded with its end values far
-    past either end of the comb."""
-    m0, wts = effective_kernel(kernel, c).convolve_weights(h)
+    past either end of the comb: the correlate path, kept as the oracle."""
     m = len(wts)
     pad = abs(m0) + m + 1
     padded = np.concatenate((np.full(pad, phi[0]), phi, np.full(pad, phi[-1])))
     start = pad - m0 - m + 1
-    return np.correlate(padded, wts[::-1], mode="valid")[start: start + len(phi)], wts
+    return np.correlate(padded, wts[::-1], mode="valid")[start: start + len(phi)]
 
 
-def _comb_path(kernel, c, h, n):
+def _comb_loop(m0, wts, phi):
+    """sum_j w_j phi(t - s_j), s_j = (m0 + j) h, phi frozen past either end."""
+    n = len(phi)
+    return np.array([sum(w * phi[min(max(i - m0 - j, 0), n - 1)] for j, w in enumerate(wts))
+                     for i in range(n)])
+
+
+def _path_of(kernel, c, h, n):
     m0, wts = effective_kernel(kernel, c).convolve_weights(h)
     m = len(wts)
-    return _fft_length(m, n, max(0, m0 + m) + n + max(0, 1 - m0))
+    return _comb_path(m, n, max(0, m0 + m) + n + max(0, 1 - m0))[0]
 
 
 def _ramp(n, h):
@@ -630,10 +640,11 @@ _LONG_COMBS = {
 @pytest.mark.parametrize("name", list(_LONG_COMBS))
 def test_long_comb_by_fft_matches_correlate(name):
     kernel, c, h, n = _LONG_COMBS[name], 2.5, 0.01, 6000
-    assert _comb_path(kernel, c, h, n) > 0
+    assert _path_of(kernel, c, h, n) == "fft"
     conv = _convolver(kernel, c, h, n)
     phi = _ramp(n, h)
-    want, wts = _padded_correlate(kernel, c, h, phi)
+    m0, wts = effective_kernel(kernel, c).convolve_weights(h)
+    want = _padded_correlate(m0, wts, phi)
     scale = np.sum(np.abs(wts)) * np.max(np.abs(phi))
     assert np.max(np.abs(conv(phi) - want)) <= 1e-14 * scale
     # a second sweep reuses the comb's spectrum and padding buffer
@@ -644,11 +655,12 @@ def test_long_comb_by_fft_matches_correlate(name):
 
 @pytest.mark.parametrize("name", list(_LONG_COMBS))
 def test_long_comb_on_a_short_grid_stays_direct(name):
+    # 23-255 taps over 60 nodes: the block product, not the FFT
     kernel, c, h, n = _LONG_COMBS[name], 2.5, 0.5, 60
-    assert _comb_path(kernel, c, h, n) == 0
+    assert _path_of(kernel, c, h, n) == "block"
     phi = _ramp(n, h)
-    want, _ = _padded_correlate(kernel, c, h, phi)
-    np.testing.assert_array_equal(_convolver(kernel, c, h, n)(phi), want)
+    want = _padded_correlate(*effective_kernel(kernel, c).convolve_weights(h), phi)
+    np.testing.assert_allclose(_convolver(kernel, c, h, n)(phi), want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("kernel, taps", [(Kernel.dirac(), 1), (Kernel.discrete(0.4), 1),
@@ -656,7 +668,95 @@ def test_long_comb_on_a_short_grid_stays_direct(name):
 def test_atom_combs_stay_direct_and_bitwise(kernel, taps):
     c, h, n = 2.5, 0.02, 200_000
     assert len(effective_kernel(kernel, c).convolve_weights(h)[1]) == taps
-    assert _comb_path(kernel, c, h, n) == 0
+    assert _path_of(kernel, c, h, n) == "correlate"
     phi = _ramp(n, h)
-    want, _ = _padded_correlate(kernel, c, h, phi)
+    want = _padded_correlate(*effective_kernel(kernel, c).convolve_weights(h), phi)
     np.testing.assert_array_equal(_convolver(kernel, c, h, n)(phi), want)
+
+
+def test_comb_path_takes_the_block_product_from_12_taps_until_the_fft_wins():
+    n = 6000
+    assert _comb_path(11, n, n + 12) == ("correlate", 0)
+    assert _comb_path(12, n, n + 13) == ("block", 0)
+    assert _comb_path(197, n, n + 198) == ("block", 0)
+    assert _comb_path(1583, n, n + 1584) == ("fft", 7680)
+    # past 4,065 taps the matrix would pass 2^17 floats; on 60 nodes the
+    # FFT does not pay either
+    assert _comb_path(4065, 60, 4126) == ("block", 0)
+    assert _comb_path(4066, 60, 4127) == ("correlate", 0)
+
+
+class _Comb:
+    """Stands in for effective_kernel(...): a comb of random positive
+    weights summing to 1, starting at offset m0."""
+
+    def __init__(self, m0, taps):
+        wts = np.random.default_rng(taps).random(taps) + 0.1
+        self.comb = (m0, wts / wts.sum())
+
+    def convolve_weights(self, h):
+        return self.comb
+
+
+def _block_convolver(monkeypatch, m0, taps, n):
+    monkeypatch.setattr(semiwavefront, "effective_kernel", lambda kernel, c: _Comb(m0, taps))
+    monkeypatch.setattr(semiwavefront, "_comb_path", lambda taps, n, size: ("block", 0))
+    return _convolver(Kernel.dirac(), 2.5, 0.02, n), _Comb(m0, taps).comb
+
+
+@pytest.mark.parametrize("n", [2, _COMB_BLOCK - 1, _COMB_BLOCK, _COMB_BLOCK + 1, 1000])
+@pytest.mark.parametrize("taps", [3, 64, 200])
+@pytest.mark.parametrize("m0", [-250, -40, -2, 0, 5])
+def test_block_comb_matches_correlate_and_the_plain_sum(monkeypatch, n, taps, m0):
+    # m0 = -250 puts the whole comb right of t, m0 = 5 left of it; 64 and
+    # 200 taps over n = 2 .. 33 nodes make combs longer than the grid.  The
+    # samples are positive, as every Picard iterate is, so no sum cancels
+    conv, (m0, wts) = _block_convolver(monkeypatch, m0, taps, n)
+    phi = _ramp(n, 0.04) + 0.3
+    assert phi.min() > 0.0
+    got = conv(phi).copy()
+    np.testing.assert_allclose(got, _padded_correlate(m0, wts, phi), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got, _comb_loop(m0, wts, phi), rtol=1e-13, atol=0)
+    # a constant maps to itself: the weights sum to 1
+    assert np.max(np.abs(conv(np.full(n, 0.75)) - 0.75)) <= 1e-15
+    # a second sweep overwrites the buffer the first one returned
+    np.testing.assert_allclose(conv(2.0 * phi), 2.0 * got, rtol=1e-13, atol=0)
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    def smooth(x):
+        for p in (2, 3, 5):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    for size in range(1, 5001):
+        assert _fft_length(size) == next(x for x in itertools.count(size) if smooth(x)), size
+
+
+def test_fft_path_matches_the_block_path_on_a_weak_comb(monkeypatch):
+    kernel, c, h, n = Kernel.weak(0.5), 2.5, 0.02, 3000
+    assert _path_of(kernel, c, h, n) == "fft"
+    phi = _ramp(n, h)
+    by_fft = _convolver(kernel, c, h, n)(phi)
+    monkeypatch.setattr(semiwavefront, "_comb_path", lambda taps, n, size: ("block", 0))
+    by_block = _convolver(kernel, c, h, n)(phi)
+    assert np.max(np.abs(by_block - by_fft)) <= 1e-12 * np.max(np.abs(phi))
+
+
+def test_long_table_on_a_short_grid_builds_no_block_matrix():
+    # 10,001 taps over 60 nodes: a block matrix would hold 10,032 x 32 floats
+    s = np.linspace(0.0, 100.0, 201)
+    kernel, c, h, n = Kernel.tabulated(s, 1.0 + np.sin(s) ** 2), 2.5, 0.01, 60
+    assert len(effective_kernel(kernel, c).convolve_weights(h)[1]) == 10_001
+    assert _path_of(kernel, c, h, n) == "correlate"
+    phi = _ramp(n, h)
+    tracemalloc.start()
+    try:
+        got = _convolver(kernel, c, h, n)(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_032 * _COMB_BLOCK * 8 / 4  # a quarter of that matrix
+    want = _padded_correlate(*effective_kernel(kernel, c).convolve_weights(h), phi)
+    np.testing.assert_array_equal(got, want)
