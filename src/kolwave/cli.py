@@ -255,7 +255,7 @@ def _parse_range(spec: str) -> np.ndarray:
 
 
 def cmd_region(args, out: Path, manifest: RunManifest) -> int:
-    # checked here: boundary_region turns a KolwaveError of one point into NaN
+    # checked here: a region sweep turns a KolwaveError of one point into NaN
     if not args.tol > 0:
         raise PreconditionError(f"--tol must be positive, got {args.tol}")
     if args.jobs < 1:

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedError,
 )
 from .models import GrowthModel
-from .numerics import find_root, integrate_dde, lower_edge
+from .numerics import Grid, find_root, integrate_dde, lower_edge
 from .profiles import (
     EPS_MAX,
     OSCILLATING,
@@ -115,9 +115,10 @@ def _shoot(gamma: float, tau: float, eps: float, span_length: float,
 
     t_end = composite.t_end
     dt = max(t_end / 20000.0, min(tau / 64.0, 0.05))
-    ts = np.linspace(0.0, t_end, int(t_end / dt) + 1)
+    n = max(int(t_end / dt), 1) + 1  # a span shorter than dt still has both ends
+    grid = Grid(0.0, t_end / (n - 1), n)
     return build_profile(
-        ts, composite.sample(ts)[:, 0], crossings=crossings, h=tau,
+        grid, composite.sample(grid.nodes())[:, 0], crossings=crossings, h=tau,
         flags=() if captured else ("unresolved-tail",),
         amplitude=_AMPLITUDE,
         plus_window=(max(30.0 * cap_eps, 1e-8), 1e-3),
@@ -210,21 +211,21 @@ def overshoot_bound(gamma: float, tau: float) -> float:
 
 def overshoot_region(gammas, tol: float = 1e-3) -> RegionCurve:
     """For each gamma, the smallest tau with overshoot bound above 1 (NaN
-    when the bound stays at or below 1 at the top of the window), together
-    with the edge tau_upper = (1+gamma)/e.  The window stops just below
-    tau_upper, and at the largest tau the bound accepts."""
-    gammas = np.asarray(list(gammas), dtype=float)
-    lower = np.full(len(gammas), math.nan)
-    upper = (1.0 + gammas) / math.e
-    for i, g in enumerate(gammas):
-        hi = min(float(upper[i]) * (1.0 - 1e-9), _TAU_MAX)
+    when the bound stays at or below 1 at the top of the window, or rejects
+    the gamma), together with the edge tau_upper = (1+gamma)/e, swept by
+    RegionCurve.sweep.  The window stops just below tau_upper, and at the
+    largest tau the bound accepts."""
+
+    def tau_lower(g: float) -> float:
+        hi = min((1.0 + g) / math.e * (1.0 - 1e-9), _TAU_MAX)
 
         def certified(tau: float) -> bool:
-            return overshoot_bound(float(g), tau) > 1.0
+            return overshoot_bound(g, tau) > 1.0
 
-        if certified(hi):
-            lower[i] = lower_edge(certified, hi, tol)
-    return RegionCurve(gamma=gammas, columns={"tau_lower": lower, "tau_upper": upper})
+        return lower_edge(certified, hi, tol) if certified(hi) else math.nan
+
+    return RegionCurve.sweep(gammas, {"tau_lower": tau_lower,
+                                      "tau_upper": lambda g: (1.0 + g) / math.e})
 
 
 @dataclass(frozen=True)

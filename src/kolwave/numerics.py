@@ -295,13 +295,14 @@ def _march(attempt, field, ts, ys, fs, t1, h, events, stop, breakpoints=()):
         if steps > _MAX_STEPS:
             raise DivergenceError("step budget exhausted", time=t, state=y)
         h = min(h, t1 - t)
+        floor = _min_step(t)
         for bp in breakpoints:
-            if t < bp - 1e-14 and t + h > bp:
+            if t < bp - floor and t + h > bp:
                 h = bp - t
                 break
         if 0.0 < t1 - (t + h) < _min_step(t + h):
             h = t1 - t
-        if h < _min_step(t):
+        if h < floor:
             raise DivergenceError("step size underflow", time=t, state=y)
 
         y_new, f_new, err, _ = attempt(t, y, f, h)
@@ -444,7 +445,6 @@ def integrate_dde(
     span,
     tol: float = 1e-8,
     events: Sequence[Gauge] = (),
-    stop: Gauge | None = None,
     *,
     history_deriv,
     prior: DdeTrajectory | None = None,
@@ -459,12 +459,15 @@ def integrate_dde(
     `integrate_ode`.  Pass `prior` to continue a previous delay integration
     from its end: `history` and `history_deriv` are then prior's, and the
     result is one dense output over prior's nodes and the new ones.
+    Returns (trajectory, times), times one list per gauge in `events`.
 
     Steps are aligned to the first few multiples of the lag, where the
-    propagated kinks live.  Steps longer than the lag are allowed: the lag
-    then reaches into the step being built and is resolved by fixed-point
-    sweeps on the provisional Hermite interpolant (the sweep contracts at
-    rate O(h * d(field)/d(lag))), so tiny lags do not force tiny steps.
+    propagated kinks live, save those within the step floor of a step's
+    start; the first trial step is 0.1*tau, at least that floor.  Steps
+    longer than the lag are allowed: the lag then reaches into the step
+    being built and is resolved by fixed-point sweeps on the provisional
+    Hermite interpolant (the sweep contracts at rate O(h * d(field)/d(lag))),
+    so tiny lags do not force tiny steps.
     """
     if not tau > 0:
         raise PreconditionError(f"lag must be positive, got {tau}")
@@ -501,7 +504,8 @@ def integrate_dde(
     # step sequence, and so the result, depends on that base); after a few
     # multiples the solution is smooth enough for free stepping
     k0 = max(0, math.ceil((t0 - base) / tau - 1e-9))
-    breakpoints = [base + k * tau for k in range(k0, k0 + 8) if base + k * tau > t0 + 1e-14]
+    breakpoints = [base + k * tau for k in range(k0, k0 + 8)
+                   if base + k * tau > t0 + _min_step(t0)]
 
     def attempt(t, y, f, h):
         t_new = t + h
@@ -526,8 +530,8 @@ def integrate_dde(
                 return y_new, f_new, err, sc
         return y_new, f_new, None, sc
 
-    times = _march(attempt, committed_field, ts, ys, fs, t1, min(0.1 * tau, t1 - t0),
-                   events, stop, breakpoints)
+    times = _march(attempt, committed_field, ts, ys, fs, t1,
+                   min(max(0.1 * tau, _min_step(t0)), t1 - t0), events, None, breakpoints)
     return DdeTrajectory(t_start, history, history_deriv, (ts, ys, fs), starts, prior), times
 
 

@@ -23,13 +23,12 @@ import numpy as np
 from .errors import (
     DivergenceError,
     FieldEvaluationError,
-    KolwaveError,
     NoWindowError,
     PreconditionError,
     StiffShootingError,
     UnsupportedError,
 )
-from .numerics import cubic_real_roots, integrate_ode, lower_edge, maximize_scalar
+from .numerics import Grid, cubic_real_roots, integrate_ode, lower_edge, maximize_scalar
 from .profiles import EPS_MAX, OSCILLATING, OVERSHOOT_EPS, Profile, RegionCurve, build_profile
 from .spectral import weak_rates_at_one
 
@@ -196,8 +195,8 @@ def _run_connection(rhs, gamma, tau, start_amplitude, tol):
         if 2.0 * x @ p @ rhs(t_end, traj(t_end)) >= 0:
             captured = False  # not yet inside the contraction basin
 
-    ts = np.linspace(0.0, t_end, _N_SAMPLES)
-    samples = traj.sample(ts)
+    grid = Grid(0.0, t_end / (_N_SAMPLES - 1), _N_SAMPLES)
+    samples = traj.sample(grid.nodes())
     phi, psi = samples[:, 0], samples[:, 1]
 
     cross_times = [s for s in crossings if s <= t_end]
@@ -209,7 +208,7 @@ def _run_connection(rhs, gamma, tau, start_amplitude, tol):
     entry = mean_dev / norm if norm > 0 else np.array([0.0, 0.0])
 
     flags = () if captured else ("no-capture",)
-    prof = build_profile(ts, phi, crossings=cross_times, flags=flags,
+    prof = build_profile(grid, phi, crossings=cross_times, flags=flags,
                          amplitude=start_amplitude,
                          plus_window=(max(3.0 * r_cap, 1e-7), 1e-3))
     return HeteroclinicResult(
@@ -403,30 +402,18 @@ def tau_sharp(gamma: float, tol: float = 0.05) -> float:
 
 def boundary_region(gammas, tol: float = 0.05,
                     kinds=("tau_sharp", "tau_star")) -> RegionCurve:
-    """Boundary curves over a gamma grid, one point after another; a point
-    whose solver raises a KolwaveError becomes a NaN gap, any other
+    """Boundary curves over a gamma grid, swept by RegionCurve.sweep: a
+    point whose solver raises a KolwaveError becomes a NaN gap, any other
     exception propagates.
 
     Columns: tau_sharp, tau_star (NaN when not requested or not defined) and
     the node-to-focus edge tau_upper = (1+gamma)/4.  `tol` is tau_sharp's
     bisection width; tau_star is a minimum, not a bisection.
     """
-    gammas = np.asarray(list(gammas), dtype=float)
     # looked up per call, so a replaced module attribute is the one that runs
     solvers = {"tau_sharp": lambda g: tau_sharp(g, tol), "tau_star": tau_star}
-    results = np.empty((len(gammas), 3))
-    for row, g in zip(results, gammas):
-        for i, (kind, solver) in enumerate(solvers.items()):
-            try:
-                row[i] = solver(g) if kind in kinds else math.nan
-            except KolwaveError:
-                row[i] = math.nan
-        row[2] = (1.0 + g) / 4.0
-    return RegionCurve(
-        gamma=gammas,
-        columns={
-            "tau_sharp": results[:, 0],
-            "tau_star": results[:, 1],
-            "tau_upper": results[:, 2],
-        },
-    )
+    return RegionCurve.sweep(gammas, {
+        **{kind: solver if kind in kinds else lambda g: math.nan
+           for kind, solver in solvers.items()},
+        "tau_upper": lambda g: (1.0 + g) / 4.0,
+    })

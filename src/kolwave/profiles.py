@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import KolwaveError, PreconditionError
 from .numerics import Grid
 
 __all__ = [
@@ -370,33 +370,45 @@ class RegionCurve:
     """A sampled boundary curve (or bundle of curves) over a gamma grid."""
 
     gamma: np.ndarray
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+
+    @classmethod
+    def sweep(cls, gammas, columns: dict[str, Callable[[float], float]]) -> "RegionCurve":
+        """Column `name` at each gamma is columns[name](gamma), the columns
+        in order at one gamma after another.  A point whose function raises
+        a KolwaveError becomes a NaN gap; any other exception propagates."""
+        gammas = np.asarray(list(gammas), dtype=float)
+        table = np.full((len(columns), len(gammas)), math.nan)
+        for j, g in enumerate(gammas.tolist()):
+            for row, fn in zip(table, columns.values()):
+                try:
+                    row[j] = fn(g)
+                except KolwaveError:
+                    pass
+        return cls(gamma=gammas, columns=dict(zip(columns, table)))
 
     def header(self) -> list[str]:
         return ["gamma"] + list(self.columns.keys())
 
-    def rows(self):
-        cols = [self.gamma] + list(self.columns.values())
-        for i in range(len(self.gamma)):
-            yield [col[i] for col in cols]
+    def rows(self) -> np.ndarray:
+        return np.column_stack([self.gamma, *self.columns.values()])
 
     def to_csv(self, path: Path | str) -> None:
-        write_csv(path, self.header(), list(self.rows()))
+        write_csv(path, self.header(), self.rows())
 
 
-def build_profile(ts: np.ndarray, values: np.ndarray, *, crossings, flags,
+def build_profile(grid: Grid, values: np.ndarray, *, crossings, flags,
                   amplitude: float, plus_window: tuple[float, float],
                   h=None) -> Profile:
-    """Assemble a Profile from uniform samples, fitting both decay exponents
-    by fit_decay: |values - 1| in the band `plus_window`, and the left tail
-    read backwards in time, which decays toward 0 through
-    (5 * amplitude, 5e-3), `amplitude` the launch size; decay_minus is
-    minus its slope.  A fit that fails leaves its exponent None.
+    """Assemble a Profile from the samples `values` taken at the nodes of
+    `grid`, fitting both decay exponents by fit_decay: |values - 1| in the
+    band `plus_window`, and the left tail read backwards in time, which
+    decays toward 0 through (5 * amplitude, 5e-3), `amplitude` the launch
+    size; decay_minus is minus its slope.  A fit that fails leaves its
+    exponent None.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = grid.nodes()
     values = np.asarray(values, dtype=float)
-    dt = float(ts[1] - ts[0])
-    grid = Grid(float(ts[0]), dt, len(ts))
 
     slope, ok = fit_decay(-ts[::-1], values[::-1], 5.0 * amplitude, 5e-3)
     decay_minus = -slope if ok else None

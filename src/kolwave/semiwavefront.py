@@ -14,11 +14,11 @@ one row (its samples and the two sums carried in from either side) times
 one fixed matrix built once per front, so a sweep is two matrix products
 and a carry recurrence over the chunks.  The Picard loop runs on buffers
 allocated once per front.  N_c * phi runs through the comb of
-effective_kernel: np.correlate for atoms and combs of a few taps; for
-longer combs the same "rows times one fixed matrix" form as the Green
-sweep, each row the padded samples one block of 32 outputs reads and the
-matrix the comb's Toeplitz band; and a product with the comb's rFFT for
-combs long enough that the block product's work outweighs the FFT.  The
+effective_kernel: np.correlate for atoms; for longer combs the same "rows
+times one fixed matrix" form as the Green sweep, each row the padded
+samples one block of 32 outputs reads and the matrix the comb's Toeplitz
+band; and a product with the comb's rFFT for combs long enough that the
+block product's work outweighs the FFT.  The
 matrix, the spectrum and the buffers are built once per front.  A front
 whose grid nodes times max_iters exceeds a fixed work budget is refused
 before its grid is sampled.
@@ -298,8 +298,7 @@ def default_config(params: WaveParams, dt: float = 0.02, tol: float = 1e-9,
 
 
 _SWEEP_SPAN = 600.0  # largest z2*h: a larger shift is refused as too large for the grid step
-_CHUNK = 32  # nodes per block of the Green operator; 16 and 64 run alike
-_LOOP_CARRIES = 40  # carry sequences up to this length run as a float loop
+_CHUNK = 32  # nodes per block of the Green operator and the comb product; 16 and 64 run alike
 
 
 def _cell_weights(alpha: float, h: float, lam: float) -> tuple[float, float]:
@@ -331,16 +330,16 @@ class _Carries:
     sequences at once: `rates`, `x0`, the inputs `y` and the outputs `out`
     hold one entry per sequence.
 
-    Up to _LOOP_CARRIES values run as a float loop; longer sequences run in
-    the blocked form of the Green operator: one product with a fixed
-    _CHUNK x _CHUNK matrix gives every block's partial sums, and the block
-    heads are the same recurrence, m/_CHUNK long, with ratio
-    e^(rate*_CHUNK)."""
+    A sequence that fits one block of _CHUNK values runs as a float loop;
+    longer sequences run in the blocked form of the Green operator: one
+    product with a fixed _CHUNK x _CHUNK matrix gives every block's partial
+    sums, and the block heads are the same recurrence, m/_CHUNK long, with
+    ratio e^(rate*_CHUNK)."""
 
     def __init__(self, rates: tuple[float, float], m: int):
         self.ratios = [math.exp(rate) for rate in rates]
         self.heads = None
-        if m > _LOOP_CARRIES:
+        if m > _CHUNK:
             k = _CHUNK
             pw = np.array([_powers(rate, k) for rate in rates])
             ahead = np.arange(k) - np.arange(k)[:, None]  # j - l
@@ -460,13 +459,8 @@ class _GreenOperator:
 
 # The comb runs on one of three paths (_comb_path).  np.correlate costs
 # taps*n multiply-adds in a plain loop, the block path (taps + k - 1)*n
-# (k = _COMB_BLOCK) in matrix products, which BLAS runs 3-8x faster per
-# multiply-add.  np.correlate keeps pace only on combs of up to 11 taps,
-# where it has a faster loop: timed on a 2-core Xeon with numpy 2.4, it
-# takes 10-14 us for 8-10 taps over 6,000 nodes and 69 us for 12, the
-# block product 10-11 us for either.  _BLOCK_TAPS is that step.
-_COMB_BLOCK = 32  # outputs per row of the block path
-_BLOCK_TAPS = 12  # shortest comb that the block path takes
+# (k = _CHUNK outputs per row) in matrix products, which BLAS runs 3-8x
+# faster per multiply-add.
 _BLOCK_FLOATS = 1 << 17  # most floats in the block path's matrix (1 MiB)
 # Floats of the row chunk that one product takes (128 KiB): over whole
 # table fronts of the bench pool, 2^13 to 2^17 ran alike and 2^11 took
@@ -503,17 +497,18 @@ def _fft_length(size: int) -> int:
 def _comb_path(taps: int, n: int, size: int) -> tuple[str, int]:
     """("correlate", 0), ("block", 0) or ("fft", nfft): the path that
     applies a comb of `taps` over n nodes padded to `size` samples.  Atoms
-    and short combs take np.correlate, long combs the FFT once the block
-    product's work outweighs it _FFT_GAIN-fold, the rest the block product.
-    A comb whose block matrix would pass _BLOCK_FLOATS (over 4,000 taps,
-    only on a grid too short for the FFT rule) stays on np.correlate."""
-    if taps < _BLOCK_TAPS:
+    (one or two taps: a point mass on a node or between two) take
+    np.correlate, long combs the FFT once the block product's work
+    outweighs it _FFT_GAIN-fold, the rest the block product.  A comb whose
+    block matrix would pass _BLOCK_FLOATS (over 4,000 taps, only on a grid
+    too short for the FFT rule) stays on np.correlate."""
+    if taps <= 2:
         return "correlate", 0
-    width = taps + _COMB_BLOCK - 1
+    width = taps + _CHUNK - 1
     nfft = _fft_length(size)
     if width * n > _FFT_GAIN * nfft * math.log2(nfft):
         return "fft", nfft
-    if width * _COMB_BLOCK > _BLOCK_FLOATS:
+    if width * _CHUNK > _BLOCK_FLOATS:
         return "correlate", 0
     return "block", 0
 
@@ -525,7 +520,7 @@ def _convolver(kernel: Kernel, c: float, h: float, n: int):
     The comb runs on the path of _comb_path; everything a path needs is
     built once per front.  np.correlate slides the reversed weights over
     the padded samples.  The block path cuts the n outputs into blocks of
-    k = _COMB_BLOCK nodes: the k + taps - 1 padded samples that block b
+    k = _CHUNK nodes: the k + taps - 1 padded samples that block b
     reads are row b of a buffer, and the buffer times one (k + taps - 1) x k
     Toeplitz matrix of the reversed weights gives every block at once, in
     row chunks of at most _ROW_FLOATS.  The FFT path is one rfft of the
@@ -542,7 +537,7 @@ def _convolver(kernel: Kernel, c: float, h: float, n: int):
     path, nfft = _comb_path(m, n, size)
     wrev = wts[::-1]
     if path == "block":
-        k, width = _COMB_BLOCK, m + _COMB_BLOCK - 1
+        k, width = _CHUNK, m + _CHUNK - 1
         blocks = -(-n // k)
         # row p, column j: the weight on padded[base + bk + p] of node bk + j
         band = np.concatenate((np.zeros(k - 1), wrev, np.zeros(k - 1)))
@@ -596,7 +591,7 @@ class IterationResult:
     upper: np.ndarray
     lower: np.ndarray
     config: IterationConfig
-    slack: float = 0.0  # iteration tol plus the measured discretization defect
+    slack: float  # iteration tol plus the measured discretization defect
 
 
 def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResult:
@@ -694,7 +689,7 @@ def iterate_front(config: IterationConfig, params: WaveParams) -> IterationResul
 
     lag = c * kernel.tau if kernel.kind == "discrete-delay" else None
     tail_floor = max(abs(phi[-1] - 1.0) * 30.0, 1e-8)
-    profile = build_profile(ts, phi, crossings=crossings_of_one(ts, phi), h=lag,
+    profile = build_profile(grid, phi, crossings=crossings_of_one(ts, phi), h=lag,
                             flags=() if converged else ("unconverged",),
                             amplitude=max(float(phi[0]), 1e-300) * 2.0,
                             plus_window=(tail_floor, 1e-3))

@@ -203,6 +203,17 @@ def test_region_overshoot_curve(tmp_path):
     assert len(lines) == 4
 
 
+def test_region_overshoot_leaves_a_gap_where_the_bound_rejects_gamma(tmp_path):
+    # the bound needs gamma > 0: gamma = 0 is a NaN gap, as a failed point
+    # of the tau-sharp and tau-star sweeps is
+    assert run(tmp_path / "a", "region", "overshoot", "--gamma", "0:2:1") == 0
+    assert run(tmp_path / "b", "region", "overshoot", "--gamma", "1:2:1") == 0
+    head, gap, *rows = (tmp_path / "a" / "region-overshoot.csv").read_text().splitlines()
+    assert head == "gamma,tau_lower,tau_upper"
+    assert gap == "0,nan,0.36787944117144233"
+    assert rows == (tmp_path / "b" / "region-overshoot.csv").read_text().splitlines()[1:]
+
+
 def test_iterate_with_kernel_table_file(tmp_path):
     import numpy as np
 

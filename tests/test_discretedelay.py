@@ -59,6 +59,24 @@ def test_limit_profile_tiny_delay_monotone():
     assert p.sup <= 1.0 + 1e-3
 
 
+@pytest.mark.parametrize("tau", [1e-300, 1e-13, 1e-10, 1e-8])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_lags_below_the_step_floor_reach_1_monotone(tau, eps):
+    # at 1e-300, 0.1*tau lies under the step floor 16*eps*max(1, |t|), and
+    # steps that reach the lag multiples of 1e-13 can stop short of them by
+    # less than it: the first step and the breakpoint clips must respect the
+    # floor, or the run ends in "step size underflow"
+    p = finite_speed_profile(9.0, tau, eps)
+    assert p.shape == MONOTONE and p.flags == ()
+    assert 1.0 - 2e-10 < p.sup <= 1.0
+
+
+def test_span_shorter_than_the_sample_step_keeps_both_ends():
+    p = limit_profile(9.0, 3.0, span_length=0.01)
+    assert p.grid == Grid(0.0, 0.01, 2)
+    assert p.values[0] == 1e-6
+
+
 def test_limit_profile_eventually_monotone_tail(limit_9_3):
     rep = classify_oscillation(limit_9_3, h=3.0)
     assert rep.shape == NON_MONOTONE

@@ -375,6 +375,15 @@ def test_params_json_roundtrip():
     assert params_from_json(params_to_json(p2)) == p2
 
 
+def test_dirac_spatial_table_json_roundtrip():
+    p = WaveParams(GrowthModel.kpp(), Kernel.dirac_table([-1.0, 0.0, 2.0], [0.0, 1.0, 0.0]), 2.5)
+    doc = json.loads(json.dumps(params_to_json(p)))
+    assert doc["kernel"] == {"kind": "dirac-spatial", "s": [-1.0, 0.0, 2.0],
+                             "density": [0.0, 2.0 / 3.0, 0.0]}
+    q = params_from_json(doc)
+    assert q == p and q.kernel.has_table
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"kernel": {"kind": "dirac-spatial"}, "c": 2.5}, "growth"),
     ({"growth": [], "kernel": {"kind": "dirac-spatial"}, "c": 2.5}, "growth"),

@@ -635,6 +635,24 @@ def test_cubic_degenerates_to_quadratic_and_linear():
     assert np.allclose(cubic_real_roots(0.0, 0.0, 2.0, -4.0), [2.0])
 
 
+def test_cubic_without_real_roots_and_with_a_triple_root():
+    assert cubic_real_roots(0.0, 0.0, 0.0, 1.0) == []  # the constant 1
+    assert cubic_real_roots(0.0, 1.0, 0.0, 1.0) == []  # x^2 + 1
+    assert cubic_real_roots(1.0, -3.0, 3.0, -1.0) == [1.0]  # (x - 1)^3
+
+
+def test_find_root_returns_an_endpoint_that_is_an_exact_zero():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z * (z - 2.0)
+
+    assert find_root(f, (0.0, 1.0)) == 0.0
+    assert find_root(f, (1.0, 2.0)) == 2.0
+    assert calls == [0.0, 1.0, 1.0, 2.0]  # no bisection step
+
+
 @pytest.mark.parametrize("x0", [0.3, 0.1, 0.01])
 def test_lower_edge_bisects_below_the_last_point_that_held(x0):
     # after k halvings the edge lies in [hi/2^(k+1), hi/2^k]: a bracket of

@@ -86,6 +86,16 @@ def test_lyapunov_closed_forms():
     assert v == pytest.approx(tau * ref, abs=1e-9)
 
 
+def test_lyapunov_at_gamma_zero_is_the_limit_of_its_psi_term():
+    # (psi-1)/gamma - (1+gamma)/gamma^2 * log((1+gamma*psi)/(1+gamma)) tends
+    # to (psi-1)^2/2 as gamma -> 0
+    v, vdot = lyapunov(0.0, 2.0, (1.0, 3.0))
+    assert v == 4.0  # tau * (psi - 1)^2 / 2, phi at 1
+    assert vdot == -4.0  # -(psi - 1)^2
+    near, _ = lyapunov(1e-5, 2.0, (1.0, 3.0))
+    assert near == pytest.approx(v, rel=1e-4)
+
+
 def test_lyapunov_nonincreasing_along_trajectories():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -331,23 +341,39 @@ def test_boundary_region_curve_with_threads():
     assert np.all(curve.columns["tau_star"] < curve.columns["tau_upper"])
 
 
-def test_boundary_region_propagates_programming_errors(monkeypatch):
-    def broken(gamma, tol):
+# each sweep: the module and solver a test replaces, the sweep, its solved
+# column and the divisor of its edge tau_upper = (1+gamma)/divisor
+_SWEEPS = {
+    "boundary_region": (pf, "tau_sharp", lambda gs: boundary_region(gs, kinds=("tau_sharp",)),
+                        "tau_sharp", 4.0),
+    "overshoot_region": (discretedelay, "overshoot_bound", discretedelay.overshoot_region,
+                         "tau_lower", math.e),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_SWEEPS))
+def test_region_sweep_propagates_programming_errors(monkeypatch, sweep):
+    module, solver, run, _, _ = _SWEEPS[sweep]
+
+    def broken(*args):
         raise TypeError("not a solver failure")
 
-    monkeypatch.setattr(pf, "tau_sharp", broken)
+    monkeypatch.setattr(module, solver, broken)
     with pytest.raises(TypeError):
-        boundary_region([10.0, 20.0], kinds=("tau_sharp",))
+        run([10.0, 20.0])
 
 
-def test_boundary_region_solver_failure_is_a_gap(monkeypatch):
-    def diverging(gamma, tol):
+@pytest.mark.parametrize("sweep", list(_SWEEPS))
+def test_region_sweep_solver_failure_is_a_gap(monkeypatch, sweep):
+    module, solver, run, column, edge = _SWEEPS[sweep]
+
+    def diverging(*args):
         raise DivergenceError("step size underflow")
 
-    monkeypatch.setattr(pf, "tau_sharp", diverging)
-    curve = boundary_region([10.0, 20.0], kinds=("tau_sharp",))
-    assert np.all(np.isnan(curve.columns["tau_sharp"]))
-    assert np.allclose(curve.columns["tau_upper"], [11.0 / 4.0, 21.0 / 4.0])
+    monkeypatch.setattr(module, solver, diverging)
+    curve = run([10.0, 20.0])
+    assert np.all(np.isnan(curve.columns[column]))
+    assert np.allclose(curve.columns["tau_upper"], [11.0 / edge, 21.0 / edge])
 
 
 def test_boundary_region_over_an_empty_grid_is_an_empty_curve():

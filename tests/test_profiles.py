@@ -9,10 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from kolwave import discretedelay, planarflow, profiles, semiwavefront
+from kolwave import discretedelay, numerics, planarflow, profiles, semiwavefront
 from kolwave.cli import main
+from kolwave.errors import DivergenceError
 from kolwave.models import GrowthModel, Kernel, WaveParams
-from kolwave.profiles import fit_decay
+from kolwave.profiles import RegionCurve, fit_decay, significant_crossings
 
 
 def _fit_decay_walk(ts, dist, lo, hi):
@@ -134,9 +135,9 @@ def _acceptance_front():
 def test_left_decay_fit_equals_the_growth_fit_it_replaced(monkeypatch, module, make):
     calls = []
 
-    def recording(ts, values, **kwargs):
-        calls.append((np.array(ts), np.array(values), kwargs["amplitude"]))
-        return profiles.build_profile(ts, values, **kwargs)
+    def recording(grid, values, **kwargs):
+        calls.append((grid.nodes(), np.array(values), kwargs["amplitude"]))
+        return profiles.build_profile(grid, values, **kwargs)
 
     monkeypatch.setattr(module, "build_profile", recording)
     profile = make()
@@ -144,3 +145,65 @@ def test_left_decay_fit_equals_the_growth_fit_it_replaced(monkeypatch, module, m
     want = _growth_fit(ts, values, amplitude)
     assert want is not None and profile.decay_minus is not None
     assert profile.decay_minus == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: discretedelay.limit_profile(9.0, 1.4),
+    lambda: discretedelay.finite_speed_profile(9.0, 1.4, 0.05),
+    lambda: planarflow.heteroclinic(4.0, 4.0).profile,
+    lambda: planarflow.finite_speed_profile(40.0, 10.0, 0.05).profile,
+], ids=["limit-9-1.4", "delay-eps-0.05", "heteroclinic-4-4", "planar-eps-0.05"])
+def test_shot_profile_times_are_the_sampled_times_bitwise(monkeypatch, make):
+    # a delay shot and a planar connection sample their dense output once at
+    # every node of the profile's grid; a grid rebuilt from the samples as
+    # (t_end/m)*k ended one ulp off t_end on the first three
+    sampled = []
+    sample = numerics.Trajectory.sample
+
+    def recording(self, ts):
+        sampled.append(np.array(ts, dtype=float))
+        return sample(self, ts)
+
+    monkeypatch.setattr(numerics.Trajectory, "sample", recording)
+    profile = make()
+    ts, = [t for t in sampled if len(t) == profile.grid.n]
+    assert ts.tobytes() == profile.ts.tobytes()
+
+
+def test_front_profile_times_are_the_iteration_grid_bitwise():
+    # the food(2) dirac front's grid from t = -42 at dt = 0.02: rebuilt from
+    # its own samples, its last node read 175.480000000034
+    params = WaveParams(GrowthModel.food_limited(2.0), Kernel.dirac(), 2.5)
+    config = semiwavefront.default_config(params, dt=0.02, tol=1e-9)
+    profile = semiwavefront.iterate_front(config, params).profile
+    assert profile.grid == config.grid
+    assert profile.ts.tobytes() == config.grid.nodes().tobytes()
+
+
+def test_significant_crossing_at_the_last_sample_has_no_excursion_to_keep():
+    # an integrator's refined event can fall on the run's last node, where
+    # no sample follows to show an excursion
+    ts = np.arange(6.0)
+    values = np.array([0.0, 0.5, 1.2, 1.3, 1.2, 1.0])
+    up = 1 + 0.5 / 0.7
+    assert significant_crossings(ts, values, [up, 5.0]) == [up]
+
+
+def test_region_sweep_runs_each_column_at_one_gamma_after_another():
+    calls = []
+
+    def column(name, fail_at=None):
+        def fn(g):
+            calls.append((name, g))
+            if g == fail_at:
+                raise DivergenceError("step size underflow")
+            return 10.0 * g
+        return fn
+
+    curve = RegionCurve.sweep(np.array([1.0, 2.0]), {"a": column("a", fail_at=2.0),
+                                                     "b": column("b")})
+    assert calls == [("a", 1.0), ("b", 1.0), ("a", 2.0), ("b", 2.0)]
+    assert all(type(g) is float for _, g in calls)
+    assert curve.header() == ["gamma", "a", "b"]
+    np.testing.assert_array_equal(curve.columns["a"], [10.0, np.nan])
+    np.testing.assert_array_equal(curve.columns["b"], [10.0, 20.0])

@@ -18,13 +18,11 @@ from kolwave.errors import (
 from kolwave import semiwavefront
 from kolwave.models import GrowthModel, Kernel, WaveParams, effective_kernel
 from kolwave.numerics import Grid
-from kolwave.profiles import MONOTONE
+from kolwave.profiles import MONOTONE, Profile
 from kolwave.spectral import kpp_roots
 from kolwave.semiwavefront import (
     _CHUNK,
-    _LOOP_CARRIES,
     _Carries,
-    _COMB_BLOCK,
     _GreenOperator,
     _comb_path,
     _convolver,
@@ -380,8 +378,9 @@ def test_blocked_sweep_equals_chunked_oracle_bitwise(e):
     # chunk oracle to the bit whatever order the BLAS sums in
     rates = (math.log(e), 0.8 * math.log(e))
     rng = np.random.default_rng(11)
-    for m in [_LOOP_CARRIES + 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 2,
-              _LOOP_CARRIES * _CHUNK]:
+    # from one value past a block; the _CHUNK heads of the last run as the
+    # float loop
+    for m in [_CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 2, _CHUNK * _CHUNK]:
         ys = np.zeros((2, m))
         for y in ys:
             for i in range(0, m, _CHUNK):
@@ -548,6 +547,17 @@ def test_weak_kernel_iteration_decay_rates():
     assert rep.rel_err_plus is not None and rep.rel_err_plus < 0.10
 
 
+def test_asymptotic_check_flags_an_unfitted_left_tail_and_a_rootless_right_one():
+    # past the discrete edge (1+gamma)/e the linearization at 1 has no real
+    # negative root to match a fitted right tail against
+    params = WaveParams(GrowthModel.food_limited(9.0), Kernel.discrete(5.0), 2.5)
+    profile = Profile(grid=Grid(0.0, 1.0, 3), values=np.array([0.0, 0.5, 1.0]),
+                      shape=MONOTONE, sup=1.0, decay_plus=-0.5, flags=("unconverged",))
+    rep = asymptotic_check(profile, params)
+    assert rep.flags == ("inconclusive", "asymptotics-mismatch")
+    assert rep.rel_err_minus is None and rep.matched_root is None
+
+
 def test_quadratic_growth_without_hump_iterates():
     params = WaveParams(GrowthModel.quadratic(1.0, -0.5), Kernel.dirac(), 2.5)
     config = default_config(params, dt=0.02, tol=1e-9)
@@ -674,10 +684,12 @@ def test_atom_combs_stay_direct_and_bitwise(kernel, taps):
     np.testing.assert_array_equal(_convolver(kernel, c, h, n)(phi), want)
 
 
-def test_comb_path_takes_the_block_product_from_12_taps_until_the_fft_wins():
+def test_comb_path_takes_the_block_product_from_3_taps_until_the_fft_wins():
     n = 6000
-    assert _comb_path(11, n, n + 12) == ("correlate", 0)
-    assert _comb_path(12, n, n + 13) == ("block", 0)
+    assert _comb_path(1, n, n + 2) == ("correlate", 0)
+    assert _comb_path(2, n, n + 3) == ("correlate", 0)
+    assert _comb_path(3, n, n + 4) == ("block", 0)
+    assert _comb_path(11, n, n + 12) == ("block", 0)
     assert _comb_path(197, n, n + 198) == ("block", 0)
     assert _comb_path(1583, n, n + 1584) == ("fft", 7680)
     # past 4,065 taps the matrix would pass 2^17 floats; on 60 nodes the
@@ -704,7 +716,7 @@ def _block_convolver(monkeypatch, m0, taps, n):
     return _convolver(Kernel.dirac(), 2.5, 0.02, n), _Comb(m0, taps).comb
 
 
-@pytest.mark.parametrize("n", [2, _COMB_BLOCK - 1, _COMB_BLOCK, _COMB_BLOCK + 1, 1000])
+@pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 1000])
 @pytest.mark.parametrize("taps", [3, 64, 200])
 @pytest.mark.parametrize("m0", [-250, -40, -2, 0, 5])
 def test_block_comb_matches_correlate_and_the_plain_sum(monkeypatch, n, taps, m0):
@@ -757,6 +769,6 @@ def test_long_table_on_a_short_grid_builds_no_block_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10_032 * _COMB_BLOCK * 8 / 4  # a quarter of that matrix
+    assert peak < 10_032 * _CHUNK * 8 / 4  # a quarter of that matrix
     want = _padded_correlate(*effective_kernel(kernel, c).convolve_weights(h), phi)
     np.testing.assert_array_equal(got, want)
